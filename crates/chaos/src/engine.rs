@@ -493,10 +493,9 @@ fn run_server_phase(
         "127.0.0.1:0",
         rtree_server::ServerConfig {
             batch: rtree_server::BatchPolicy {
-                // Window sized from the plan so seeds sweep both the
-                // count-closed and deadline-closed regimes.
+                // Cap sized from the plan so seeds sweep both batches
+                // capped at max_batch and batches closed by a free worker.
                 max_batch: (plan.threads * 2).max(2),
-                max_wait: std::time::Duration::from_micros(300),
                 ..rtree_server::BatchPolicy::default()
             },
             read_timeout: std::time::Duration::from_millis(5),

@@ -1101,7 +1101,6 @@ fn parse_server_config(args: &Args) -> Result<rtree_server::ServerConfig, CliErr
     if batch == 0 {
         return Err(err("--batch must be at least 1"));
     }
-    let wait_us: u64 = args.flag_or("wait-us", 500u64)?;
     let queue: usize = args.flag_or("queue", 4096usize)?;
     if queue == 0 {
         return Err(err("--queue must be at least 1"));
@@ -1113,7 +1112,6 @@ fn parse_server_config(args: &Args) -> Result<rtree_server::ServerConfig, CliErr
     Ok(rtree_server::ServerConfig {
         batch: rtree_server::BatchPolicy {
             max_batch: batch,
-            max_wait: Duration::from_micros(wait_us),
             queue_depth: queue,
             workers,
         },
@@ -1377,12 +1375,10 @@ fn serve(args: &Args) -> Result<String, CliError> {
         "engine",
         "shards",
         "batch",
-        "wait-us",
         "queue",
         "workers",
         "window",
         "writers",
-        "write-threads",
         "adaptive",
         "tune-interval",
         "budget",
@@ -1430,16 +1426,11 @@ fn serve(args: &Args) -> Result<String, CliError> {
         // Writer mode: an empty writable tree seeded through the insert
         // path itself (every seed is WAL-logged and group-committed),
         // then served read-write through the latch-crabbing engine.
-        let write_threads: usize = args.flag_or("write-threads", 8usize)?;
-        if write_threads == 0 {
-            return Err(err("--write-threads must be at least 1"));
-        }
         let min_fill = (cap / 4).max(1);
         let wal = rtree_wal::GroupWal::open(rtree_wal::MemLog::new())
             .map_err(|e| err(format!("opening wal: {e}")))?;
-        // Serving is batch-oriented anyway (the micro-batcher already
-        // trades a sub-millisecond wait for locality), so hold commit
-        // batches open briefly too: a burst of writers, one fsync.
+        // Each write runs on its connection's thread; hold commit
+        // batches open briefly so a burst of writers shares one fsync.
         wal.set_commit_delay(std::time::Duration::from_micros(150));
         let mut disk = ConcurrentDiskRTree::create_writable(
             SharedMemStore::new(),
@@ -1456,12 +1447,8 @@ fn serve(args: &Args) -> Result<String, CliError> {
                 .map_err(|e| err(format!("seeding item {i}: {e}")))?;
         }
         let workers = config.batch.workers;
-        let handle = rtree_server::serve(
-            WriterEngine::new(disk, workers, write_threads, true),
-            addr,
-            config,
-        )
-        .map_err(|e| err(format!("binding {addr}: {e}")))?;
+        let handle = rtree_server::serve(WriterEngine::new(disk, workers, 1, true), addr, config)
+            .map_err(|e| err(format!("binding {addr}: {e}")))?;
         return run_server(handle, duration, port_file, sink);
     }
 
@@ -1960,6 +1947,18 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_the_removed_batch_window_flag() {
+        let e = run(&args("serve data.csv --wait-us 400")).unwrap_err();
+        assert!(e.0.contains("unknown flag --wait-us"), "got: {}", e.0);
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_write_threads_flag() {
+        let e = run(&args("serve data.csv --writers --write-threads 4")).unwrap_err();
+        assert!(e.0.contains("unknown flag --write-threads"), "got: {}", e.0);
+    }
+
+    #[test]
     fn serve_and_loadgen_round_trip_over_loopback() {
         let dir = std::env::temp_dir().join(format!("rtrees-cli-serve-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1972,7 +1971,7 @@ mod tests {
         .unwrap();
 
         let serve_args = args(&format!(
-            "serve {} --cap 10 --buffer 64 --batch 32 --wait-us 400 --duration 30 \
+            "serve {} --cap 10 --buffer 64 --batch 32 --duration 30 \
              --port-file {}",
             data.display(),
             port.display()
@@ -2008,7 +2007,7 @@ mod tests {
         .unwrap();
 
         let serve_args = args(&format!(
-            "serve {} --cap 16 --buffer 64 --writers --write-threads 4 --duration 30 \
+            "serve {} --cap 16 --buffer 64 --writers --duration 30 \
              --port-file {}",
             data.display(),
             port.display()

@@ -106,13 +106,13 @@ USAGE:
   rtrees serve <DATA.csv> [--addr HOST:PORT] [--port-file FILE] [--duration S]
                [--engine seq|sharded] [--shards S] [--loader L] [--cap N]
                [--buffer B] [--policy LRU|LRU2|FIFO|CLOCK|RANDOM] [--seed N]
-               [--batch N] [--wait-us U] [--queue N] [--workers N] [--window W]
+               [--batch N] [--queue N] [--workers N] [--window W]
                [--adaptive] [--tune-interval MS] [--budget B]
       Builds the tree and serves it over framed TCP (default 127.0.0.1:0 =
       ephemeral; --port-file publishes the bound address). Queries funnel
-      into the micro-batching scheduler: a batch closes at N queries
-      (default 64) or after U microseconds (default 500), whichever comes
-      first, and runs through the batched executor with readahead window W.
+      into the micro-batching scheduler: a free worker takes every queued
+      query, up to N (default 64), as one batch and runs it at once through
+      the batched executor with readahead window W.
       Runs until a Shutdown frame arrives (or --duration seconds), drains,
       and prints queries/batches, reads per query, queue-wait quantiles,
       and whether the batcher, I/O ledger and trace counters reconcile.

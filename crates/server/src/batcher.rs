@@ -1,25 +1,37 @@
 //! The micro-batching scheduler.
 //!
-//! Connections submit single queries; worker threads close them into
-//! batches on whichever comes first of a **count threshold** or a **time
-//! deadline**, execute the batch on a [`QueryEngine`], and route each
+//! Connections submit single queries; worker threads drain them into
+//! batches, execute each batch on a [`QueryEngine`], and route each
 //! query's results back through its completion channel.
+//!
+//! Batching is work-conserving: a free worker takes every queued job, up
+//! to `max_batch`, and executes them at once. It never holds a batch open
+//! waiting for more arrivals. Batches form under load, from the jobs that
+//! pile up while every worker is busy, so a batch closes when a worker
+//! becomes free or when it reaches `max_batch`, whichever comes first.
 //!
 //! State machine of a worker:
 //!
 //! ```text
-//!          queue empty                  queue non-empty
-//!   Idle ───────────────▶ wait ─────────────────────────▶ Collecting
-//!     ▲                                                       │
-//!     │           batch full  OR  deadline hit  OR  shutdown  │
-//!     │                                                       ▼
-//!     └────────────── send results ◀── execute ◀──── drain ≤ max_batch
+//!          queue empty              queue non-empty
+//!   Idle ───────────────▶ wait ─────────────────────▶ drain ≤ max_batch
+//!     ▲                                                      │
+//!     │                                                      ▼
+//!     └─────────────── send results ◀──────────────────── execute
 //! ```
+//!
+//! Writes do not enter the queue. [`MicroBatcher::write`] runs a
+//! mutation on the calling connection's thread: a write spends most of
+//! its time waiting for its WAL commit, and a worker held through that
+//! wait would leave the queries and writes queued behind it waiting too.
+//! Writes still share syncs: the WAL's group commit is their batcher,
+//! and every commit that arrives while a sync is in flight rides the
+//! next one — so concurrent writers coalesce however many workers run.
 //!
 //! The queue is bounded: when `queue_depth` jobs are waiting, `submit`
 //! fails fast with [`SubmitError::Overloaded`] and the connection returns
 //! a typed response instead of queueing unboundedly. After
-//! [`MicroBatcher::shutdown`] begins, new submissions fail with
+//! [`MicroBatcher::shutdown`] begins, new submissions and writes fail with
 //! [`SubmitError::ShuttingDown`] while already-queued jobs are drained to
 //! completion — no accepted query is ever dropped.
 
@@ -32,16 +44,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// When and how batches close.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
-    /// A batch closes as soon as this many queries are collected.
+    /// Most jobs one worker takes from the queue into a single batch.
     pub max_batch: usize,
-    /// A non-empty batch closes when its oldest query has waited this
-    /// long, even if under-full.
-    pub max_wait: Duration,
     /// Most jobs that may wait in the queue before `submit` rejects with
     /// `Overloaded`.
     pub queue_depth: usize,
@@ -53,7 +62,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 64,
-            max_wait: Duration::from_micros(500),
             queue_depth: 4096,
             workers: 2,
         }
@@ -76,17 +84,11 @@ pub enum JobOutput {
     Matches(Vec<u64>),
     /// Match count only, for count queries.
     Count(u64),
-    /// A durably committed write (`false`: a delete found no entry).
-    Written(bool),
-}
-
-enum JobKind {
-    Query { rect: Rect, count_only: bool },
-    Write(WriteOp),
 }
 
 struct Job {
-    kind: JobKind,
+    rect: Rect,
+    count_only: bool,
     enqueued: Instant,
     done: mpsc::Sender<io::Result<JobOutput>>,
 }
@@ -114,9 +116,10 @@ struct Shared<E> {
 /// Scheduler counters, all cumulative.
 #[derive(Clone, Debug)]
 pub struct BatcherStats {
-    /// Jobs accepted into the queue.
+    /// Queries accepted into the queue, plus writes accepted by
+    /// [`MicroBatcher::write`].
     pub submitted: u64,
-    /// Jobs executed and answered.
+    /// Queries and writes executed and answered.
     pub completed: u64,
     /// Submissions refused with `Overloaded`.
     pub rejected: u64,
@@ -126,7 +129,7 @@ pub struct BatcherStats {
     pub max_batch: u64,
     /// Distribution of executed batch sizes.
     pub batch_sizes: Histogram,
-    /// Distribution of queue wait (enqueue → batch close), microseconds.
+    /// Distribution of queue wait (enqueue → batch drain), microseconds.
     pub queue_wait_us: Histogram,
 }
 
@@ -159,7 +162,6 @@ impl<E: QueryEngine> MicroBatcher<E> {
             max_batch: policy.max_batch.max(1),
             workers: policy.workers.max(1),
             queue_depth: policy.queue_depth.max(1),
-            ..policy
         };
         Arc::new(MicroBatcher {
             shared: Arc::new(Shared {
@@ -208,24 +210,6 @@ impl<E: QueryEngine> MicroBatcher<E> {
         rect: Rect,
         count_only: bool,
     ) -> Result<mpsc::Receiver<io::Result<JobOutput>>, SubmitError> {
-        self.submit_job(JobKind::Query { rect, count_only })
-    }
-
-    /// Submits one mutation. Writes share the queue, the batch window,
-    /// and the overload bound with queries; a batch's writes fan out on
-    /// the engine so their WAL commits coalesce (see
-    /// [`crate::engine::QueryEngine::execute_writes`]).
-    pub fn submit_write(
-        &self,
-        op: WriteOp,
-    ) -> Result<mpsc::Receiver<io::Result<JobOutput>>, SubmitError> {
-        self.submit_job(JobKind::Write(op))
-    }
-
-    fn submit_job(
-        &self,
-        kind: JobKind,
-    ) -> Result<mpsc::Receiver<io::Result<JobOutput>>, SubmitError> {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = lock(&self.shared.queue);
@@ -237,7 +221,8 @@ impl<E: QueryEngine> MicroBatcher<E> {
                 return Err(SubmitError::Overloaded);
             }
             q.jobs.push_back(Job {
-                kind,
+                rect,
+                count_only,
                 enqueued: Instant::now(),
                 done: tx,
             });
@@ -247,16 +232,25 @@ impl<E: QueryEngine> MicroBatcher<E> {
         Ok(rx)
     }
 
-    /// Convenience: submit and block for the single result.
-    pub fn submit_and_wait(
-        &self,
-        rect: Rect,
-        count_only: bool,
-    ) -> Result<io::Result<JobOutput>, SubmitError> {
-        let rx = self.submit(rect, count_only)?;
-        Ok(rx
-            .recv()
-            .unwrap_or_else(|_| Err(io::ErrorKind::BrokenPipe.into())))
+    /// Applies one mutation on the calling thread and returns its durably
+    /// committed result (`true` = applied, `false` = a delete found no
+    /// entry). It takes no worker and no queue slot, so it never waits
+    /// behind queued queries; concurrent callers' commits coalesce in the
+    /// engine's WAL (see
+    /// [`crate::engine::QueryEngine::execute_writes`]).
+    pub fn write(&self, op: WriteOp) -> Result<io::Result<bool>, SubmitError> {
+        if lock(&self.shared.queue).shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        let result = self
+            .shared
+            .engine
+            .execute_writes(std::slice::from_ref(&op))
+            .pop()
+            .expect("engine write demux contract");
+        self.shared.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(result)
     }
 
     /// Stops accepting work, drains every queued job to completion, and
@@ -271,13 +265,6 @@ impl<E: QueryEngine> MicroBatcher<E> {
         for w in workers.drain(..) {
             let _ = w.join();
         }
-    }
-
-    /// True once [`shutdown`] has begun.
-    ///
-    /// [`shutdown`]: MicroBatcher::shutdown
-    pub fn is_shutting_down(&self) -> bool {
-        lock(&self.shared.queue).shutdown
     }
 
     /// Counter snapshot.
@@ -297,16 +284,12 @@ impl<E: QueryEngine> MicroBatcher<E> {
     pub fn engine(&self) -> &E {
         &self.shared.engine
     }
-
-    /// Jobs currently waiting (for tests and load shedding decisions).
-    pub fn queue_len(&self) -> usize {
-        lock(&self.shared.queue).jobs.len()
-    }
 }
 
 fn worker_loop<E: QueryEngine>(shared: &Shared<E>) {
     loop {
-        // Phase 1: wait for work (or shutdown with an empty queue).
+        // Wait for work (or shutdown with an empty queue), then take
+        // everything queued, up to `max_batch`.
         let mut q = lock(&shared.queue);
         while q.jobs.is_empty() {
             if q.shutdown {
@@ -317,45 +300,18 @@ fn worker_loop<E: QueryEngine>(shared: &Shared<E>) {
                 .wait(q)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-
-        // Phase 2: collect until the batch fills, the oldest job's
-        // deadline passes, or shutdown forces an immediate close.
-        let deadline = q.jobs.front().expect("non-empty").enqueued + shared.policy.max_wait;
-        loop {
-            if q.jobs.len() >= shared.policy.max_batch || q.shutdown {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = shared
-                .nonempty
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-
-        // Phase 3: close the batch.
         let take = q.jobs.len().min(shared.policy.max_batch);
         let batch: Vec<Job> = q.jobs.drain(..take).collect();
         let leftover = !q.jobs.is_empty();
         drop(q);
         if leftover {
-            // More work remains; wake a sibling so it can start its own
-            // window concurrently with our execution.
+            // More work remains; wake a sibling to run it concurrently
+            // with our execution.
             shared.nonempty.notify_one();
         }
-        if batch.is_empty() {
-            continue;
-        }
 
-        // Phase 4: execute and demux. A window can mix queries and
-        // writes; they split into one engine call each, and every job is
-        // answered through its own channel by position.
+        // Execute and demux: every job is answered through its own
+        // channel by position.
         let closed = Instant::now();
         for job in &batch {
             shared
@@ -367,58 +323,29 @@ fn worker_loop<E: QueryEngine>(shared: &Shared<E>) {
         shared.max_batch_seen.fetch_max(n, Ordering::Relaxed);
         shared.batch_sizes.record(n);
 
-        let mut rects: Vec<Rect> = Vec::new();
-        let mut query_jobs = Vec::new();
-        let mut ops: Vec<WriteOp> = Vec::new();
-        let mut write_jobs = Vec::new();
-        for job in batch {
-            match job.kind {
-                JobKind::Query { rect, count_only } => {
-                    rects.push(rect);
-                    query_jobs.push((count_only, job.done));
-                }
-                JobKind::Write(op) => {
-                    ops.push(op);
-                    write_jobs.push(job.done);
-                }
-            }
-        }
-
-        if !rects.is_empty() {
-            match shared.engine.execute(&rects) {
-                Ok(results) => {
-                    debug_assert_eq!(results.len(), query_jobs.len(), "engine demux contract");
-                    for ((count_only, done), ids) in query_jobs.into_iter().zip(results) {
-                        let out = if count_only {
-                            JobOutput::Count(ids.len() as u64)
-                        } else {
-                            JobOutput::Matches(ids)
-                        };
-                        // A receiver that hung up (client vanished) is fine.
-                        let _ = done.send(Ok(out));
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => {
-                    // io::Error is not Clone: recreate it per job.
-                    for (_, done) in query_jobs {
-                        let _ = done.send(Err(io::Error::new(e.kind(), e.to_string())));
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
-                    }
+        let rects: Vec<Rect> = batch.iter().map(|job| job.rect).collect();
+        match shared.engine.execute(&rects) {
+            Ok(results) => {
+                debug_assert_eq!(results.len(), batch.len(), "engine demux contract");
+                for (job, ids) in batch.into_iter().zip(results) {
+                    let out = if job.count_only {
+                        JobOutput::Count(ids.len() as u64)
+                    } else {
+                        JobOutput::Matches(ids)
+                    };
+                    // Counted before the answer leaves, so a client
+                    // holding its answer sees it in the stats.
+                    shared.completed.fetch_add(1, Ordering::Relaxed);
+                    // A receiver that hung up (client vanished) is fine.
+                    let _ = job.done.send(Ok(out));
                 }
             }
-        }
-
-        if !ops.is_empty() {
-            let results = shared.engine.execute_writes(&ops);
-            debug_assert_eq!(
-                results.len(),
-                write_jobs.len(),
-                "engine write demux contract"
-            );
-            for (done, result) in write_jobs.into_iter().zip(results) {
-                let _ = done.send(result.map(JobOutput::Written));
-                shared.completed.fetch_add(1, Ordering::Relaxed);
+            Err(e) => {
+                // io::Error is not Clone: recreate it per job.
+                for job in batch {
+                    shared.completed.fetch_add(1, Ordering::Relaxed);
+                    let _ = job.done.send(Err(io::Error::new(e.kind(), e.to_string())));
+                }
             }
         }
     }
@@ -429,6 +356,7 @@ mod tests {
     use super::*;
     use rtree_pager::IoStats;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     /// Engine double: echoes one id per query and records batch sizes.
     struct Echo {
@@ -476,7 +404,6 @@ mod tests {
             Echo::new(Duration::ZERO),
             BatchPolicy {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 ..BatchPolicy::default()
             },
         );
@@ -494,18 +421,83 @@ mod tests {
     }
 
     #[test]
-    fn deadline_closes_an_underfull_batch() {
+    fn a_lone_job_on_an_idle_batcher_is_answered() {
         let b = MicroBatcher::new(
             Echo::new(Duration::ZERO),
             BatchPolicy {
                 max_batch: 1000,
-                max_wait: Duration::from_millis(5),
                 ..BatchPolicy::default()
             },
         );
         let rx = b.submit(rect(1), false).unwrap();
-        // Only the deadline can close this batch of one.
-        assert_eq!(rx.recv().unwrap().unwrap(), JobOutput::Matches(vec![1]));
+        // Nothing else will arrive: a free worker must run the batch of
+        // one without waiting for it to fill.
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a lone job is answered without the batch filling");
+        assert_eq!(got.unwrap(), JobOutput::Matches(vec![1]));
+        b.shutdown();
+    }
+
+    /// Engine double whose every `execute` call reports its batch size on
+    /// `entered`, then blocks until the test opens the gate once.
+    struct Gated {
+        entered: Mutex<mpsc::Sender<usize>>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl QueryEngine for Gated {
+        fn execute(&self, queries: &[Rect]) -> io::Result<Vec<Vec<u64>>> {
+            lock(&self.entered).send(queries.len()).unwrap();
+            lock(&self.gate).recv().unwrap();
+            Ok(queries.iter().map(|_| Vec::new()).collect())
+        }
+
+        fn io_stats(&self) -> IoStats {
+            IoStats::default()
+        }
+    }
+
+    #[test]
+    fn jobs_queued_during_an_execution_form_the_next_batch() {
+        let (entered_tx, entered) = mpsc::channel();
+        let (open, gate) = mpsc::channel();
+        let b = MicroBatcher::new(
+            Gated {
+                entered: Mutex::new(entered_tx),
+                gate: Mutex::new(gate),
+            },
+            BatchPolicy {
+                max_batch: 4,
+                workers: 1,
+                ..BatchPolicy::default()
+            },
+        );
+        let wait = Duration::from_secs(5);
+        let first = b.submit(rect(0), false).unwrap();
+        assert_eq!(
+            entered.recv_timeout(wait).unwrap(),
+            1,
+            "lone job runs alone"
+        );
+
+        // The only worker is busy: these six pile up behind it.
+        let rest: Vec<_> = (1..7).map(|i| b.submit(rect(i), false).unwrap()).collect();
+        open.send(()).unwrap();
+        assert_eq!(
+            entered.recv_timeout(wait).unwrap(),
+            4,
+            "capped at max_batch"
+        );
+        open.send(()).unwrap();
+        assert_eq!(entered.recv_timeout(wait).unwrap(), 2, "the remainder");
+        open.send(()).unwrap();
+
+        for rx in std::iter::once(first).chain(rest) {
+            rx.recv_timeout(wait).unwrap().unwrap();
+        }
+        let s = b.stats();
+        assert_eq!((s.batches, s.completed, s.max_batch), (3, 7, 4));
         b.shutdown();
     }
 
@@ -560,10 +552,8 @@ mod tests {
     #[test]
     fn count_only_jobs_get_counts() {
         let b = MicroBatcher::new(Echo::new(Duration::ZERO), BatchPolicy::default());
-        match b.submit_and_wait(rect(3), true).unwrap().unwrap() {
-            JobOutput::Count(1) => {}
-            other => panic!("expected Count(1), got {other:?}"),
-        }
+        let rx = b.submit(rect(3), true).unwrap();
+        assert_eq!(rx.recv().unwrap().unwrap(), JobOutput::Count(1));
         b.shutdown();
     }
 
@@ -595,7 +585,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_batches_demux_writes_and_queries_by_position() {
+    fn writes_run_on_the_calling_thread_and_skip_the_queue() {
+        // No workers run, and a query sits in the queue: a write must
+        // still be applied and answered, on this thread.
         let b = MicroBatcher::new_paused(
             WritableEcho {
                 inner: Echo::new(Duration::ZERO),
@@ -607,27 +599,28 @@ mod tests {
                 ..BatchPolicy::default()
             },
         );
-        let q1 = b.submit(rect(1), false).unwrap();
-        let w1 = b.submit_write(WriteOp::Insert(rect(10), 100)).unwrap();
-        let q2 = b.submit(rect(2), true).unwrap();
-        let w2 = b.submit_write(WriteOp::Delete(rect(11), 101)).unwrap();
-        let w3 = b.submit_write(WriteOp::Delete(rect(12), 102)).unwrap();
-        b.start();
-        assert_eq!(q1.recv().unwrap().unwrap(), JobOutput::Matches(vec![1]));
-        assert_eq!(w1.recv().unwrap().unwrap(), JobOutput::Written(true));
-        assert_eq!(q2.recv().unwrap().unwrap(), JobOutput::Count(1));
-        assert_eq!(w2.recv().unwrap().unwrap(), JobOutput::Written(false));
-        assert_eq!(w3.recv().unwrap().unwrap(), JobOutput::Written(true));
+        let q = b.submit(rect(1), false).unwrap();
+        assert!(b.write(WriteOp::Insert(rect(10), 100)).unwrap().unwrap());
+        assert!(!b.write(WriteOp::Delete(rect(11), 101)).unwrap().unwrap());
+        assert!(b.write(WriteOp::Delete(rect(12), 102)).unwrap().unwrap());
         assert_eq!(lock(&b.engine().ops).len(), 3, "all ops reached the engine");
-        assert_eq!(b.stats().completed, 5);
+        assert_eq!(lock(&b.engine().inner.calls).len(), 0, "no batch ran yet");
+        assert_eq!((b.stats().submitted, b.stats().completed), (4, 3));
+
+        b.start();
+        assert_eq!(q.recv().unwrap().unwrap(), JobOutput::Matches(vec![1]));
         b.shutdown();
+        assert_eq!(b.stats().completed, 4);
+        assert_eq!(
+            b.write(WriteOp::Insert(rect(13), 103)).err(),
+            Some(SubmitError::ShuttingDown)
+        );
     }
 
     #[test]
     fn read_only_engines_answer_writes_with_typed_errors() {
         let b = MicroBatcher::new(Echo::new(Duration::ZERO), BatchPolicy::default());
-        let rx = b.submit_write(WriteOp::Insert(rect(1), 1)).unwrap();
-        let err = rx.recv().unwrap().unwrap_err();
+        let err = b.write(WriteOp::Insert(rect(1), 1)).unwrap().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
         b.shutdown();
     }

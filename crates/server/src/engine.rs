@@ -11,9 +11,9 @@
 //! * [`ShardedEngine`] — a `ConcurrentDiskRTree`, executed with
 //!   `query_batch` across its shards.
 //! * [`WriterEngine`] — a *writable* `ConcurrentDiskRTree`: queries run
-//!   as in the sharded engine, and [`WriteOp`] batches fan out over
-//!   threads so their latch-crabbing inserts overlap and their WAL
-//!   commits coalesce into group-commit batches.
+//!   as in the sharded engine, and concurrent [`WriteOp`]s crab their own
+//!   latch paths and coalesce their WAL commits into group-commit
+//!   batches.
 
 use rtree_exec::{BatchConfig, BatchExecutor};
 use rtree_geom::Rect;
@@ -23,8 +23,7 @@ use rtree_pager::{
 use std::io;
 use std::sync::Mutex;
 
-/// One mutation, as it travels from the wire through the scheduler to a
-/// write-capable engine.
+/// One mutation, as it travels from the wire to a write-capable engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WriteOp {
     /// Insert `(rect, id)`.
@@ -183,25 +182,29 @@ impl<S: SharedPageStore + Send + Sync + 'static> QueryEngine for ShardedEngine<S
 
 /// A writable `ConcurrentDiskRTree` serving reads *and* writes.
 ///
-/// Queries run exactly as in [`ShardedEngine`]. Write batches fan out
-/// over up to `write_threads` scoped threads, one op per thread at a
-/// time: each insert/delete crabs its own latch path and then joins the
-/// WAL's group commit, so a batch of k writes typically costs one fsync
-/// instead of k. With `group_commit` disabled the ops run one at a time
-/// — every commit is a batch of one, the per-op-fsync baseline the
-/// `server_throughput` experiment compares against.
+/// Queries run exactly as in [`ShardedEngine`]. Writes apply on the
+/// calling thread: each insert/delete crabs its own latch path and then
+/// joins the WAL's group commit, so k writes from k concurrent callers
+/// (the server calls with one op from each writing connection's thread)
+/// typically cost one fsync instead of k. With `group_commit` disabled
+/// every write runs alone, across all callers — every commit is a batch
+/// of one, the per-op-fsync baseline the `server_throughput` experiment
+/// compares against.
 pub struct WriterEngine<S: ConcurrentPageStore + Send + 'static> {
     tree: ConcurrentDiskRTree<S>,
     threads: usize,
-    write_threads: usize,
     group_commit: bool,
+    /// Held across each `execute_writes` call when `group_commit` is
+    /// off: concurrent connections' writes would otherwise overlap their
+    /// commits and share syncs.
+    serial: Mutex<()>,
 }
 
 impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
     /// Wraps a writable `tree` (see
     /// `ConcurrentDiskRTree::create_writable`). Queries fan out over
-    /// `threads`; write batches over `write_threads` when `group_commit`
-    /// is on, serially when it is off.
+    /// `threads`. `_write_threads` is ignored: writes get their
+    /// concurrency from their callers' threads.
     ///
     /// # Panics
     /// Panics if the tree was opened read-only — a server configured for
@@ -209,7 +212,7 @@ impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
     pub fn new(
         tree: ConcurrentDiskRTree<S>,
         threads: usize,
-        write_threads: usize,
+        _write_threads: usize,
         group_commit: bool,
     ) -> Self {
         assert!(
@@ -219,8 +222,8 @@ impl<S: ConcurrentPageStore + Send + 'static> WriterEngine<S> {
         WriterEngine {
             tree,
             threads: threads.max(1),
-            write_threads: write_threads.max(1),
             group_commit,
+            serial: Mutex::new(()),
         }
     }
 
@@ -247,26 +250,14 @@ impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for WriterEngine<S> {
     }
 
     fn execute_writes(&self, ops: &[WriteOp]) -> Vec<io::Result<bool>> {
-        if !self.group_commit || ops.len() == 1 {
-            // Serial application: no two commits overlap, so every op
-            // leads its own batch and pays its own fsync.
-            return ops.iter().map(|op| self.apply(op)).collect();
-        }
-        // Overlap the ops so their commits coalesce: the first to reach
-        // the WAL becomes the batch leader and fsyncs for the rest.
-        let chunk = ops.len().div_ceil(self.write_threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = ops
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || slice.iter().map(|op| self.apply(op)).collect::<Vec<_>>())
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("write worker panicked"))
-                .collect()
-        })
+        // Without group commit no two commits may overlap, across every
+        // caller, so every op leads its own batch and pays its own fsync.
+        let _serial = (!self.group_commit).then(|| {
+            self.serial
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        });
+        ops.iter().map(|op| self.apply(op)).collect()
     }
 
     fn write_stats(&self) -> WriteStats {
@@ -276,5 +267,66 @@ impl<S: ConcurrentPageStore + Send + 'static> QueryEngine for WriterEngine<S> {
             wal_fsyncs: g.fsyncs,
             commit_batches: g.commit_batches,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtree_buffer::LruPolicy;
+    use rtree_pager::SharedMemStore;
+    use rtree_wal::{GroupWal, MemLog};
+    use std::time::Duration;
+
+    /// Inserts `n` items from `n` concurrent callers, one op per call (as
+    /// the server's connection threads do), and returns the counters
+    /// those writes added.
+    fn concurrent_inserts(group_commit: bool, n: u64) -> WriteStats {
+        let wal = GroupWal::open(MemLog::new()).unwrap();
+        // A leader holds its batch open long enough for every concurrent
+        // caller to stage into it.
+        wal.set_commit_delay(Duration::from_millis(2));
+        let tree = ConcurrentDiskRTree::create_writable(
+            SharedMemStore::new(),
+            16,
+            4,
+            64,
+            LruPolicy::new(),
+            wal,
+        )
+        .unwrap();
+        let engine = WriterEngine::new(tree, 1, 1, group_commit);
+        let before = engine.write_stats();
+        std::thread::scope(|s| {
+            for i in 0..n {
+                let engine = &engine;
+                s.spawn(move || {
+                    let x = i as f64 / 100.0;
+                    let op = WriteOp::Insert(Rect::new(x, x, x + 0.01, x + 0.01), i);
+                    assert!(engine.execute_writes(&[op])[0].as_ref().unwrap());
+                });
+            }
+        });
+        let after = engine.write_stats();
+        WriteStats {
+            writes: after.writes - before.writes,
+            wal_fsyncs: after.wal_fsyncs - before.wal_fsyncs,
+            commit_batches: after.commit_batches - before.commit_batches,
+        }
+    }
+
+    #[test]
+    fn per_op_commit_never_shares_a_sync_across_concurrent_callers() {
+        // The same callers do share syncs under group commit, so they do
+        // overlap: per-op commit must serialize them.
+        let grouped = concurrent_inserts(true, 8);
+        assert_eq!(grouped.writes, 8);
+        assert!(grouped.wal_fsyncs < 8, "group commit: {grouped:?}");
+
+        let per_op = concurrent_inserts(false, 8);
+        assert_eq!(
+            (per_op.writes, per_op.wal_fsyncs, per_op.commit_batches),
+            (8, 8, 8)
+        );
     }
 }

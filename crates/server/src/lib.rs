@@ -5,10 +5,10 @@
 //! works *across* concurrent queries. This crate closes the loop into a
 //! served system: a framed TCP protocol ([`wire`]), a thread-per-
 //! connection front-end ([`server`]) that funnels requests into a
-//! micro-batching scheduler ([`batcher`]) with a count-or-deadline window,
-//! execution back-ends over the disk tree ([`engine`]), and an open-loop
-//! load generator ([`loadgen`]) that measures the batch-window-vs-latency
-//! tradeoff end to end.
+//! work-conserving micro-batching scheduler ([`batcher`]), execution
+//! back-ends over the disk tree ([`engine`]), and an open-loop load
+//! generator ([`loadgen`]) that measures batch size against latency end
+//! to end.
 //!
 //! ```
 //! use rtree_server::{serve, SequentialEngine, ServerConfig, Client, Request, Response};

@@ -2,18 +2,21 @@
 //! graceful shutdown.
 //!
 //! Each connection gets a thread that reads frames, decodes requests, and
-//! submits them to the shared [`MicroBatcher`]. Blocking on the batch
-//! result is fine — that *is* the harvesting mechanism: while one
-//! connection waits for its window to close, other connections' requests
-//! pile into the same batch.
+//! submits queries to the shared [`MicroBatcher`]. Blocking on the batch
+//! result is fine — that *is* the harvesting mechanism: while the workers
+//! execute one batch, other connections' queries pile into the next.
+//! Writes run on the connection's own thread (see [`MicroBatcher::write`]).
+//! The accept loop drops the handles of connection threads that have
+//! finished, so it holds one handle per live connection.
 //!
 //! Shutdown works without signal handling (std has none, and the
 //! workspace takes no libc dependency): a [`wire::Request::Shutdown`]
 //! frame, [`ServerHandle::shutdown`], or a `--duration` timer all set one
 //! stop flag. The accept loop is non-blocking and polls it; connection
-//! reads use a short read timeout and poll it *only between frames*, so a
-//! partially received frame is always finished before the check — the
-//! stream never desyncs.
+//! reads use a short read timeout and poll it on every timeout. A frame
+//! that is still arriving keeps being read, but once the flag is set, a
+//! read timeout abandons a partial frame and closes the connection — so a
+//! client that stalls mid-frame cannot hold shutdown hostage.
 
 use crate::batcher::{BatchPolicy, JobOutput, MicroBatcher, SubmitError};
 use crate::engine::{QueryEngine, WriteOp};
@@ -28,9 +31,9 @@ use std::time::Duration;
 /// Server tunables.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Scheduler policy (batch window, queue bound, workers).
+    /// Scheduler policy (batch size cap, queue bound, workers).
     pub batch: BatchPolicy,
-    /// Socket read timeout used to poll the stop flag between frames.
+    /// Socket read timeout used to poll the stop flag.
     pub read_timeout: Duration,
 }
 
@@ -149,7 +152,8 @@ impl<E: QueryEngine> ServerHandle<E> {
     }
 
     /// Stops accepting, waits for connections to finish their in-flight
-    /// frames, drains the scheduler queue, and joins every thread.
+    /// requests (a frame stalled mid-read is abandoned at the next read
+    /// timeout), drains the scheduler queue, and joins every thread.
     /// Idempotent; returns the final counters.
     pub fn shutdown(&self) -> StatsReply {
         self.stop.store(true, Ordering::SeqCst);
@@ -197,6 +201,7 @@ fn accept_loop<E: QueryEngine>(
     spawner: &Spawner,
 ) {
     while !stop.load(Ordering::SeqCst) {
+        lock(connections).retain(|c| !c.is_finished());
         match listener.accept() {
             Ok((stream, _)) => {
                 let stop = Arc::clone(stop);
@@ -230,10 +235,10 @@ fn accept_loop<E: QueryEngine>(
     }
 }
 
-/// Reads one frame with the stop flag polled between frames: a read
-/// timeout with **zero** bytes consumed re-checks the flag; once any byte
-/// of a frame has arrived, the frame is finished regardless (a client
-/// that stalls mid-frame keeps its slot until it completes or drops).
+/// Reads one frame, re-checking the stop flag on every read timeout.
+/// Once the flag is set, a timeout returns `Ok(None)` whether or not part
+/// of a frame has arrived: the partial frame is abandoned and the caller
+/// closes the connection, so the stream is never read out of alignment.
 fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -255,7 +260,7 @@ fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Op
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if buf.is_empty() && stop.load(Ordering::SeqCst) {
+                if stop.load(Ordering::SeqCst) {
                     return Ok(None);
                 }
             }
@@ -307,19 +312,32 @@ fn dispatch<E: QueryEngine>(
         Request::Query(r) => batcher.submit(r, false),
         Request::Point(x, y) => batcher.submit(rtree_geom::Rect::new(x, y, x, y), false),
         Request::Count(r) => batcher.submit(r, true),
-        Request::Insert(r, item) => batcher.submit_write(WriteOp::Insert(r, item)),
-        Request::Delete(r, item) => batcher.submit_write(WriteOp::Delete(r, item)),
+        Request::Insert(r, item) => return write(batcher, WriteOp::Insert(r, item)),
+        Request::Delete(r, item) => return write(batcher, WriteOp::Delete(r, item)),
     };
     match submitted {
-        Err(SubmitError::Overloaded) => Response::Overloaded,
-        Err(SubmitError::ShuttingDown) => Response::ShuttingDown,
+        Err(e) => refusal(e),
         Ok(rx) => match rx.recv() {
             Err(_) => Response::Error("scheduler dropped the job".into()),
             Ok(Err(e)) => Response::Error(e.to_string()),
             Ok(Ok(JobOutput::Matches(ids))) => Response::Matches(ids),
             Ok(Ok(JobOutput::Count(n))) => Response::Count(n),
-            Ok(Ok(JobOutput::Written(found))) => Response::Written(found),
         },
+    }
+}
+
+fn write<E: QueryEngine>(batcher: &MicroBatcher<E>, op: WriteOp) -> Response {
+    match batcher.write(op) {
+        Err(e) => refusal(e),
+        Ok(Err(e)) => Response::Error(e.to_string()),
+        Ok(Ok(found)) => Response::Written(found),
+    }
+}
+
+fn refusal(e: SubmitError) -> Response {
+    match e {
+        SubmitError::Overloaded => Response::Overloaded,
+        SubmitError::ShuttingDown => Response::ShuttingDown,
     }
 }
 
@@ -356,6 +374,7 @@ mod tests {
     use super::*;
     use rtree_geom::Rect;
     use rtree_pager::IoStats;
+    use std::io::Write;
     use std::sync::atomic::AtomicUsize;
 
     struct Echo;
@@ -424,6 +443,53 @@ mod tests {
             Some(Response::Matches(ids)) => assert_eq!(ids, vec![1]),
             other => panic!("expected matches, got {other:?}"),
         }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_abandons_a_frame_stalled_mid_header() {
+        let handle = serve(Echo, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        // A full round trip first: the connection thread is surely live.
+        assert!(matches!(
+            client.call(&Request::Stats).unwrap(),
+            Some(Response::Stats(_))
+        ));
+        // 3 bytes of a 12-byte header, then silence.
+        let frame = wire::encode_frame(&[0u8; 4]);
+        client.stream.write_all(&frame[..3]).unwrap();
+
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = thread::spawn(move || {
+            handle.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown must return within 1 s despite the stalled client"
+        );
+        stopper.join().unwrap();
+    }
+
+    #[test]
+    fn accept_loop_reaps_finished_connection_threads() {
+        let handle = serve(Echo, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..50 {
+            let mut c = Client::connect(handle.addr()).unwrap();
+            assert!(c.call(&Request::Stats).unwrap().is_some());
+        }
+        let mut live = Client::connect(handle.addr()).unwrap();
+        assert!(live.call(&Request::Stats).unwrap().is_some());
+
+        // The 50 closed clients' threads end on EOF; the accept loop
+        // drops their handles and keeps only the live connection's.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut held = lock(&handle.connections).len();
+        while held != 1 && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+            held = lock(&handle.connections).len();
+        }
+        assert_eq!(held, 1, "only the live connection's handle is held");
         handle.shutdown();
     }
 }

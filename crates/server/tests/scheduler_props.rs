@@ -112,7 +112,6 @@ fn burst_matches_direct_queries_and_saves_reads_under_every_policy() {
             SequentialEngine::new(served, 8),
             BatchPolicy {
                 max_batch: 64,
-                max_wait: Duration::from_millis(2),
                 ..BatchPolicy::default()
             },
         );
@@ -178,7 +177,6 @@ proptest! {
             SequentialEngine::new(served, 4),
             BatchPolicy {
                 max_batch,
-                max_wait: Duration::from_micros(200),
                 ..BatchPolicy::default()
             },
         );

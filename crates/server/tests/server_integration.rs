@@ -150,7 +150,6 @@ fn handle_shutdown_is_idempotent_and_finishes_inflight_work() {
         &tree,
         BatchPolicy {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             ..BatchPolicy::default()
         },
     ));
