@@ -164,7 +164,7 @@ macro_rules! __proptest_impl {
             for case in 0..config.cases {
                 $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
                 let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (|| { $body ::std::result::Result::Ok(()) })();
+                    $crate::test_runner::run_case(|| { $body ::std::result::Result::Ok(()) });
                 if let ::std::result::Result::Err(e) = outcome {
                     ::std::panic!(
                         "property failed at case {}/{} (rng seed {:#x}): {}",
@@ -246,7 +246,7 @@ mod tests {
     proptest! {
         #[test]
         fn ranges_and_maps(v in small_even(), w in 5usize..10) {
-            prop_assert!(v % 2 == 0);
+            prop_assert!(v.is_multiple_of(2));
             prop_assert!((5..10).contains(&w));
         }
 

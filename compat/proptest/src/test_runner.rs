@@ -43,6 +43,12 @@ impl fmt::Display for TestCaseError {
 
 impl std::error::Error for TestCaseError {}
 
+/// Runs one case body. The `proptest!` macro wraps each body in a closure
+/// so the `prop_assert*` macros can `return` a failure out of it.
+pub fn run_case(body: impl FnOnce() -> Result<(), TestCaseError>) -> Result<(), TestCaseError> {
+    body()
+}
+
 /// Deterministic per-test seed derived from the test's full path (FNV-1a).
 pub fn seed_for(test_path: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1100,7 +1100,7 @@ fn run_adaptive_phase(
     report: &mut ChaosReport,
 ) {
     let queries = plan.query_rects();
-    if queries.is_empty() || reference.len() == 0 {
+    if queries.is_empty() || reference.is_empty() {
         return;
     }
     let fail = |report: &mut ChaosReport, oracle: Oracle, detail: String| {

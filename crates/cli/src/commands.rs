@@ -208,7 +208,7 @@ fn tune(args: &Args) -> Result<String, CliError> {
     if queries == 0 {
         return Err(err("--queries must be at least 1"));
     }
-    if buffers.iter().any(|&b| b == 0) {
+    if buffers.contains(&0) {
         return Err(err("buffer sizes must be positive"));
     }
     let budget: usize = args.flag_or("budget", buffers.iter().copied().max().unwrap_or(100))?;
@@ -409,7 +409,7 @@ fn batch(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.flag_or("seed", 0xBA7Cu64)?;
     let window: usize = args.flag_or("window", 8usize)?;
     let sizes = args.flag_list("sizes", &[1, 4, 16, 64, 256, 1024])?;
-    if sizes.iter().any(|&s| s == 0) {
+    if sizes.contains(&0) {
         return Err(err("--sizes entries must be positive"));
     }
     let workload = parse_workload(args.flag("workload").unwrap_or("region:0.05:0.05"))?;
@@ -960,7 +960,7 @@ fn parse_skew(spec: &str) -> Result<rtree_datagen::Skew, CliError> {
             let theta: f64 = theta
                 .parse()
                 .map_err(|e| err(format!("bad zipf theta {theta:?}: {e}")))?;
-            if !(theta > 0.0) {
+            if theta.is_nan() || theta <= 0.0 {
                 return Err(err("zipf theta must be positive"));
             }
             Ok(Skew::Zipf { theta })
@@ -1483,12 +1483,14 @@ fn serve(args: &Args) -> Result<String, CliError> {
         "sharded" => {
             let shards: usize = args.flag_or("shards", 1usize)?;
             let workers = config.batch.workers;
-            let mut disk =
-                ConcurrentDiskRTree::create_sharded(MemStore::new(), &tree, buffer, shards, {
-                    let policy = policy;
-                    move || policy.build()
-                })
-                .map_err(|e| err(format!("creating tree: {e}")))?;
+            let mut disk = ConcurrentDiskRTree::create_sharded(
+                MemStore::new(),
+                &tree,
+                buffer,
+                shards,
+                move || policy.build(),
+            )
+            .map_err(|e| err(format!("creating tree: {e}")))?;
             disk.set_trace_sink(Some(Arc::clone(&sink) as Arc<dyn TraceSink>));
             let engine = ShardedEngine::new(disk, workers);
             if adaptive {

@@ -330,7 +330,7 @@ mod tests {
         }
         assert_eq!(out.stats.queries, 24);
         assert!(out.stats.work_items <= out.stats.page_requests);
-        assert_eq!(out.stats.levels as u32, disk.meta().height);
+        assert_eq!(out.stats.levels, disk.meta().height);
     }
 
     #[test]

@@ -2348,7 +2348,8 @@ mod tests {
     /// are deterministic regardless of interleaving.
     #[test]
     fn concurrent_writers_match_sequential_across_policies() {
-        let policies: Vec<(&str, Box<dyn Fn() -> Box<dyn ReplacementPolicy>>)> = vec![
+        type MakePolicy = Box<dyn Fn() -> Box<dyn ReplacementPolicy>>;
+        let policies: Vec<(&str, MakePolicy)> = vec![
             ("lru", Box::new(|| Box::new(rtree_buffer::LruPolicy::new()))),
             (
                 "lru2",

@@ -1013,4 +1013,45 @@ mod tests {
         assert!(hits.is_empty());
         assert_eq!(reads, 0, "root miss must not charge the buffer");
     }
+
+    #[test]
+    fn stored_checksums_equal_the_reference_crc() {
+        // Every page of a materialized image, v3 and v4, carries the
+        // standard CRC-32 as computed bit by bit, independently of both
+        // kernels in `rtree_wal::crc32`: images written by any build of
+        // this crate verify under any other.
+        use crate::page::CRC_OFFSET;
+
+        fn reference(page: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for (i, &byte) in page.iter().enumerate() {
+                let in_field = (CRC_OFFSET..CRC_OFFSET + 4).contains(&i);
+                crc ^= if in_field { 0 } else { byte as u32 };
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+
+        let tree = BulkLoader::hilbert(40).load(&sample_rects(3000));
+        let mut v3 = MemStore::new();
+        materialize(&mut v3, &tree).unwrap();
+        let mut v4 = MemStore::new();
+        materialize_packed(&mut v4, &tree, crate::MAX_ENTRIES_PACKED).unwrap();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        for (name, store) in [("v3", &mut v3), ("v4", &mut v4)] {
+            assert!(store.page_count() > 2, "{name} image has internal pages");
+            for id in 0..store.page_count() {
+                store.read_page(PageId(id), &mut buf).unwrap();
+                let stored =
+                    u32::from_le_bytes(buf[CRC_OFFSET..CRC_OFFSET + 4].try_into().unwrap());
+                assert_eq!(stored, reference(&buf), "{name} page {id}");
+            }
+        }
+    }
 }

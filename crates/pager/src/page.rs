@@ -91,7 +91,7 @@ pub const PAGE_SIZE: usize = 4096;
 
 const NODE_HEADER: usize = 16;
 const ENTRY_SIZE: usize = 40;
-const CRC_OFFSET: usize = 8;
+pub(crate) const CRC_OFFSET: usize = 8;
 const LAYOUT_OFFSET: usize = 6;
 
 /// Maximum entries a node page can hold: `(4096 − 16) / 40`. The SoA body
@@ -1131,7 +1131,7 @@ mod tests {
     #[test]
     fn packed_page_capacity_is_about_2x5() {
         assert_eq!(MAX_ENTRIES_PACKED, 253);
-        assert!(MAX_ENTRIES_PACKED >= 2 * MAX_ENTRIES_PER_PAGE);
+        const { assert!(MAX_ENTRIES_PACKED >= 2 * MAX_ENTRIES_PER_PAGE) };
         assert_eq!(PageLayout::Packed.capacity(), MAX_ENTRIES_PACKED);
     }
 

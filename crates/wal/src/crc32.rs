@@ -1,15 +1,31 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected), table-driven, slice-by-8.
+//! CRC-32 (IEEE 802.3 polynomial, reflected).
 //!
 //! Vendored rather than pulled from a crate because the build environment is
 //! offline. The parameters match the ubiquitous `crc32fast`/zlib checksum, so
 //! log files remain checkable by standard tooling.
 //!
-//! The kernel processes eight bytes per step through eight precomputed
-//! tables (Kounavis & Berry's slicing-by-8), breaking the byte-serial
-//! dependency chain of the classic Sarwate loop. Page checksums sit on the
-//! buffer-miss path and every WAL append, so the ~6x throughput difference
-//! is visible end to end. The byte-at-a-time table remains as the tail
-//! handler, and the test suite pins both to the standard vectors.
+//! Two paths compute the same values, chosen per call from the CPU and the
+//! input length alone:
+//!
+//! * **Carry-less-multiply fold** (x86_64 with `pclmulqdq` and `sse4.1`,
+//!   inputs of at least 128 bytes). Four 128-bit lanes fold 64 bytes per
+//!   step, then one lane folds the remaining 16-byte blocks, and a Barrett
+//!   reduction brings the 128-bit remainder down to 32 bits (Intel, "Fast
+//!   CRC Computation for Generic Polynomials Using PCLMULQDQ"). The tail
+//!   under 16 bytes goes to the table path. On a 2-core x86_64 Xeon VM a
+//!   4 KiB page costs about 0.22 µs this way against about 2.9 µs through
+//!   the tables.
+//! * **Slice-by-8 tables** (everything else: shorter inputs, other CPUs,
+//!   Miri). Eight precomputed tables consume eight bytes per step
+//!   (Kounavis & Berry), breaking the byte-serial chain of the classic
+//!   Sarwate loop.
+//!
+//! Page checksums sit on the buffer-miss path, so the fold is what makes a
+//! verified page-in cost little more than a trusted one. The 128-byte
+//! threshold is crc32fast's; on the host above the fold already wins at
+//! 64 bytes (about 10 ns against 36 ns), the shortest input it can take.
+//! The tests pin both paths, called directly, to the byte-at-a-time
+//! reference.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -48,7 +64,16 @@ const fn build_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = build_tables();
 
 #[inline]
-fn update_state(mut crc: u32, data: &[u8]) -> u32 {
+fn update_state(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if let Some(crc) = clmul::update(crc, data) {
+        return crc;
+    }
+    update_table(crc, data)
+}
+
+/// The slice-by-8 table path; `crc` is the raw (un-inverted) register.
+fn update_table(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in chunks.by_ref() {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
@@ -66,6 +91,123 @@ fn update_state(mut crc: u32, data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     crc
+}
+
+// Miri does not model the carry-less-multiply intrinsics, so under Miri the
+// fold is compiled out and every input takes the table path.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest input the fold takes; see the module docs.
+    pub(super) const MIN_LEN: usize = 128;
+
+    // Folding constants for the bit-reflected IEEE polynomial, as tabulated
+    // in Intel's white paper and used by zlib, Linux and crc32fast. Each is
+    // x^n mod P(x) for the shift the step needs: K1/K2 carry a lane 512 bits
+    // forward (the 64-byte stride), K3/K4 carry it 128 bits forward (the
+    // 16-byte stride and the final lane merge), K5 reduces 96 bits to 64.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    // Barrett reduction: P(x) itself and mu = floor(x^64 / P(x)), reflected.
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Feeds `data` into the raw register `crc` with the fold, or returns
+    /// `None` when `data` is shorter than [`MIN_LEN`] or the CPU lacks
+    /// `pclmulqdq` or `sse4.1`.
+    pub(super) fn update(crc: u32, data: &[u8]) -> Option<u32> {
+        if data.len() < MIN_LEN
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return None;
+        }
+        // SAFETY: both target features `fold` is compiled with were
+        // detected on this CPU just above.
+        Some(unsafe { fold(crc, data) })
+    }
+
+    /// Loads one 16-byte block.
+    #[inline(always)]
+    fn load(block: &[u8]) -> __m128i {
+        let block: &[u8; 16] = block.try_into().expect("fold blocks are 16 bytes");
+        // SAFETY: `block` borrows exactly 16 readable bytes, `loadu` has no
+        // alignment requirement, and SSE2 is part of the x86_64 baseline.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Carries `acc` forward by the shift encoded in the constant pair `k`
+    /// (low half multiplies `acc`'s low half, high half its high half) and
+    /// adds `next`.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold_block(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// The fold itself: `crc` in and out is the raw register, as in
+    /// [`super::update_table`]. Panics if `data` is shorter than 64 bytes.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    pub(super) unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
+        // Every `fold_block` call below relies on this function's own
+        // `# Safety` contract for `pclmulqdq`.
+        let (first, rest) = data.split_at(64);
+        // The register enters as the first 32 bits of the message.
+        let mut x0 = _mm_xor_si128(load(&first[..16]), _mm_cvtsi32_si128(crc as i32));
+        let mut x1 = load(&first[16..32]);
+        let mut x2 = load(&first[32..48]);
+        let mut x3 = load(&first[48..]);
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut blocks = rest.chunks_exact(64);
+        for b in blocks.by_ref() {
+            x0 = fold_block(x0, load(&b[..16]), k1k2);
+            x1 = fold_block(x1, load(&b[16..32]), k1k2);
+            x2 = fold_block(x2, load(&b[32..48]), k1k2);
+            x3 = fold_block(x3, load(&b[48..]), k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_block(x0, x1, k3k4);
+        x = fold_block(x, x2, k3k4);
+        x = fold_block(x, x3, k3k4);
+        let mut lanes = blocks.remainder().chunks_exact(16);
+        for lane in lanes.by_ref() {
+            x = fold_block(x, load(lane), k3k4);
+        }
+
+        // 128 -> 96 bits: carry the low half over the high half.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        // 96 -> 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett reduction, 64 -> 32 bits. Reflected, so the remainder is
+        // in the second 32-bit lane rather than the first.
+        let pmu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+
+        super::update_table(crc, lanes.remainder())
+    }
 }
 
 /// Checksum of `data` in one call.
@@ -106,15 +248,68 @@ impl Hasher {
 mod tests {
     use super::*;
 
+    /// Byte-at-a-time reference (the classic Sarwate loop).
+    fn reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    fn table(data: &[u8]) -> u32 {
+        !update_table(0xFFFF_FFFF, data)
+    }
+
+    /// The fold called directly, or `None` where it cannot run.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    fn fold(data: &[u8]) -> Option<u32> {
+        let ok = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        if !ok || data.len() < 64 {
+            return None;
+        }
+        // SAFETY: both target features were detected just above.
+        Some(!unsafe { clmul::fold(0xFFFF_FFFF, data) })
+    }
+
+    #[cfg(any(not(target_arch = "x86_64"), miri))]
+    fn fold(_: &[u8]) -> Option<u32> {
+        None
+    }
+
+    /// Deterministic non-repeating bytes.
+    fn bytes(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 11) as u8)
+            .collect()
+    }
+
+    /// Both paths, called directly, against the reference; `checksum`
+    /// (the dispatch) must agree too.
+    fn assert_paths_agree(data: &[u8], what: &str) {
+        let want = reference(data);
+        assert_eq!(table(data), want, "table path, {what}");
+        if let Some(got) = fold(data) {
+            assert_eq!(got, want, "fold path, {what}");
+        }
+        assert_eq!(checksum(data), want, "dispatch, {what}");
+    }
+
     #[test]
     fn known_vectors() {
-        // Standard test vectors for CRC-32/ISO-HDLC.
-        assert_eq!(checksum(b""), 0x0000_0000);
-        assert_eq!(checksum(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            checksum(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        // Standard test vectors for CRC-32/ISO-HDLC, through the dispatch
+        // and through the table path explicitly.
+        for (data, want) in [
+            (&b""[..], 0x0000_0000),
+            (&b"123456789"[..], 0xCBF4_3926),
+            (
+                &b"The quick brown fox jumps over the lazy dog"[..],
+                0x414F_A339,
+            ),
+        ] {
+            assert_eq!(checksum(data), want);
+            assert_eq!(table(data), want);
+        }
     }
 
     #[test]
@@ -136,21 +331,57 @@ mod tests {
     }
 
     #[test]
-    fn sliced_kernel_matches_sarwate_at_every_length() {
-        // Byte-at-a-time reference (the classic Sarwate loop) against the
-        // slice-by-8 kernel across lengths straddling the 8-byte chunking.
-        fn reference(data: &[u8]) -> u32 {
-            let mut crc = 0xFFFF_FFFFu32;
-            for &byte in data {
-                crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+    fn both_paths_match_sarwate_at_every_length() {
+        let data = bytes(8192);
+        for len in (0..=1024).chain([4084, 4096, 8192]) {
+            assert_paths_agree(&data[..len], &format!("len {len}"));
+        }
+    }
+
+    #[test]
+    fn fold_runs_where_the_cpu_supports_it() {
+        // Keeps the comparisons above from passing vacuously on a CPU the
+        // fold is built for.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+            assert!(fold(&bytes(64)).is_some());
+            assert!(clmul::update(0, &bytes(clmul::MIN_LEN)).is_some());
+            assert!(clmul::update(0, &bytes(clmul::MIN_LEN - 1)).is_none());
+        }
+    }
+
+    #[test]
+    fn both_paths_match_sarwate_at_every_start_offset() {
+        // The fold's loads are unaligned; shift the start through a whole
+        // 16-byte block.
+        let data = bytes(4096 + 16);
+        for offset in 0..16 {
+            for len in [64, 127, 128, 200, 1000, 4096] {
+                assert_paths_agree(
+                    &data[offset..offset + len],
+                    &format!("offset {offset}, len {len}"),
+                );
             }
-            !crc
         }
-        let data: Vec<u8> = (0..64u32)
-            .map(|i| (i.wrapping_mul(167) >> 3) as u8)
-            .collect();
-        for len in 0..data.len() {
-            assert_eq!(checksum(&data[..len]), reference(&data[..len]), "len {len}");
+    }
+
+    #[test]
+    fn hasher_splits_match_oneshot() {
+        let data = bytes(4096);
+        let want = reference(&data);
+        for mid in [16usize, 64, 128] {
+            for split in mid - 2..=mid + 2 {
+                let mut h = Hasher::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), want, "split at {split}");
+            }
         }
+        // The page checksum's shape: header, zeroed CRC field, body.
+        let mut h = Hasher::new();
+        h.update(&data[..8]);
+        h.update(&data[8..12]);
+        h.update(&data[12..]);
+        assert_eq!(h.finalize(), want, "8 + 4 + 4084");
     }
 }
