@@ -133,14 +133,11 @@ impl BatchExecutor {
 
         let root = tree.meta().root;
         let root_level = (tree.meta().height - 1) as i16;
-        #[cfg(feature = "trace")]
         let span = tree.allocate_op_id();
         let mgr = tree.manager_mut();
-        #[cfg(feature = "trace")]
         mgr.set_trace_span(span, root_level);
 
         let run = self.run_levels(mgr, root, root_level, queries, &mut out);
-        #[cfg(feature = "trace")]
         mgr.set_trace_span(0, -1);
         run?;
         Ok(out)
@@ -149,8 +146,6 @@ impl BatchExecutor {
     /// The frontier loop. Any outstanding readahead reservations are
     /// released before an error propagates, so a failed batch never leaks
     /// pins into the pool.
-    // `root_level`/`level` only feed the trace span attribution.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_assignments))]
     fn run_levels<S: PageStore>(
         &self,
         mgr: &mut BufferManager<S>,
@@ -190,7 +185,6 @@ impl BatchExecutor {
 
         while !frontier.is_empty() {
             out.stats.levels += 1;
-            #[cfg(feature = "trace")]
             mgr.set_trace_span(mgr.trace_span_id(), level);
             let items: Vec<(u64, Vec<u32>)> = std::mem::take(&mut frontier).into_iter().collect();
             let mut ahead = 0usize; // next item the readahead will consider

@@ -13,11 +13,8 @@
 //! - **Neon** — explicit 2-lane `f64` NEON intrinsics (aarch64 only).
 //!
 //! Selection happens **once**, on first use: the best variant the CPU
-//! supports, unless overridden by the environment
-//! (`RTREE_FORCE_SCALAR=1` forces the scalar reference;
-//! `RTREE_KERNEL=scalar|portable|avx2|neon` picks a specific variant).
-//! Benchmarks and differential tests can re-pin the dispatch at runtime
-//! with [`set_kernel`].
+//! supports. Benchmarks and differential tests can re-pin the dispatch at
+//! runtime with [`set_kernel`].
 //!
 //! # NaN and infinity policy
 //!
@@ -62,7 +59,7 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Short lowercase name (matches the `RTREE_KERNEL` spelling).
+    /// Short lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
@@ -130,31 +127,8 @@ fn encode_kind(k: KernelKind) -> u8 {
     }
 }
 
-/// The variant the environment and the CPU pick at startup.
+/// The variant the CPU picks at startup.
 fn select_default() -> KernelKind {
-    if std::env::var_os("RTREE_FORCE_SCALAR").is_some_and(|v| v == "1") {
-        return KernelKind::Scalar;
-    }
-    if let Ok(name) = std::env::var("RTREE_KERNEL") {
-        for k in [
-            KernelKind::Scalar,
-            KernelKind::Portable,
-            KernelKind::Avx2,
-            KernelKind::Neon,
-        ] {
-            if k.name() == name {
-                if k.is_available() {
-                    return k;
-                }
-                eprintln!(
-                    "RTREE_KERNEL={name} is not available on this CPU; using the portable kernel"
-                );
-                return KernelKind::Portable;
-            }
-        }
-        eprintln!("unknown RTREE_KERNEL={name}; using the portable kernel");
-        return KernelKind::Portable;
-    }
     if KernelKind::Avx2.is_available() {
         KernelKind::Avx2
     } else if KernelKind::Neon.is_available() {
@@ -165,8 +139,7 @@ fn select_default() -> KernelKind {
 }
 
 /// The kernel the dispatching entry points ([`crate::RectSoA::intersecting`]
-/// and friends) currently run. Selected once on first call; see the module
-/// docs for the environment knobs.
+/// and friends) currently run. Selected once on first call, from the CPU.
 #[inline]
 pub fn active_kernel() -> KernelKind {
     let v = ACTIVE.load(Ordering::Relaxed);
@@ -180,7 +153,7 @@ pub fn active_kernel() -> KernelKind {
 }
 
 /// Re-pins the dispatch to `kind` (benchmark / differential-test hook; the
-/// production path selects once from the environment and CPU).
+/// production path selects once from the CPU).
 ///
 /// # Errors
 /// Returns `Err` with the rejected kind if this build or CPU cannot run it;

@@ -19,14 +19,13 @@
 //! * [`PromText`] — a Prometheus-style text exporter for counters and
 //!   histograms.
 //!
-//! The crate itself is dependency-free and always compiled; the *hooks* in
-//! `rtree-pager` are behind its `trace` cargo feature, so a build without
-//! that feature carries no tracing state and no branches on the hot path —
-//! the zero-cost-when-disabled claim is a compile-time one.
+//! The crate itself is dependency-free. The *hooks* in `rtree-pager` are
+//! always compiled; each one tests the tree's optional sink and does nothing
+//! further when none is installed, which is the default.
 //!
 //! # Reconciliation invariants
 //!
-//! With tracing enabled, the event stream must reconcile *exactly* with the
+//! With a sink installed, the event stream must reconcile *exactly* with the
 //! aggregate counters (this is checked by the workspace's differential test
 //! suite `tests/trace_vs_stats.rs`):
 //!
@@ -34,7 +33,8 @@
 //!   pool miss (miss fill, fully-pinned bypass, pin load, or the
 //!   before-image read of a buffered write);
 //! * `count(WriteBack) == IoStats::writes` — every physical write is a
-//!   dirty eviction, a flush, or a write-through;
+//!   dirty eviction, a flush, a write-through, or a page written by a
+//!   writable concurrent tree's checkpoint;
 //! * `count(PeekRead) == IoStats::peek_reads` — the uncharged root-MBR
 //!   peeks;
 //! * `count(Hit) + count(Miss) == BufferStats::accesses` — the event stream

@@ -14,19 +14,15 @@
 
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
-#[cfg(feature = "trace")]
 use rtree_obs::{EventKind, IoEvent, TraceSink};
 use rtree_wal::Wal;
 use std::collections::HashMap;
 use std::io;
-#[cfg(feature = "trace")]
 use std::sync::Arc;
 
 /// Per-manager trace state: the sink plus the current span (query id and
-/// tree level), set by the tree layer before it drives the manager. Only
-/// compiled with the `trace` feature; without it the manager carries no
-/// tracing state at all.
-#[cfg(feature = "trace")]
+/// tree level), set by the tree layer before it drives the manager. With
+/// no sink installed (the default) each event site is one `None` check.
 pub(crate) struct Tracer {
     pub(crate) sink: Option<Arc<dyn TraceSink>>,
     /// Query/operation span currently executing (0 = none).
@@ -35,7 +31,6 @@ pub(crate) struct Tracer {
     pub(crate) level: i16,
 }
 
-#[cfg(feature = "trace")]
 impl Default for Tracer {
     fn default() -> Self {
         Tracer {
@@ -46,7 +41,6 @@ impl Default for Tracer {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Tracer {
     /// Emits one event at the current span's level.
     #[inline]
@@ -133,7 +127,6 @@ pub struct BufferManager<S: PageStore> {
     /// Verify page checksums at read-in (see
     /// [`BufferManager::set_verify_reads`]).
     verify_reads: bool,
-    #[cfg(feature = "trace")]
     pub(crate) tracer: Tracer,
 }
 
@@ -148,7 +141,6 @@ impl<S: PageStore> BufferManager<S> {
             stats: IoStats::default(),
             wal: None,
             verify_reads: false,
-            #[cfg(feature = "trace")]
             tracer: Tracer::default(),
         }
     }
@@ -179,9 +171,7 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Routes every subsequent physical-I/O and pool-outcome event to
-    /// `sink` (`None` stops tracing). Only present with the `trace`
-    /// feature.
-    #[cfg(feature = "trace")]
+    /// `sink` (`None` stops tracing).
     pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
         self.tracer.sink = sink;
     }
@@ -248,7 +238,6 @@ impl<S: PageStore> BufferManager<S> {
             self.store.write_page(victim, frame)?;
             self.stats.writes += 1;
             self.pool.clear_dirty(victim);
-            #[cfg(feature = "trace")]
             self.tracer.emit_at(victim, -1, EventKind::WriteBack);
         }
         self.frames.remove(&victim);
@@ -259,7 +248,6 @@ impl<S: PageStore> BufferManager<S> {
     pub fn fetch(&mut self, id: PageId) -> io::Result<&[u8]> {
         match self.pool.access(id) {
             AccessOutcome::Hit => {
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Hit);
             }
             AccessOutcome::Miss { evicted } => {
@@ -276,14 +264,12 @@ impl<S: PageStore> BufferManager<S> {
                 }
                 self.stats.reads += 1;
                 self.frames.insert(id, frame);
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Miss);
             }
             AccessOutcome::MissBypass => {
                 self.store.read_page(id, &mut self.scratch)?;
                 self.verify_read(id, &self.scratch)?;
                 self.stats.reads += 1;
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Miss);
                 return Ok(&self.scratch);
             }
@@ -311,7 +297,6 @@ impl<S: PageStore> BufferManager<S> {
             }
             self.stats.reads += 1;
             self.frames.insert(id, frame);
-            #[cfg(feature = "trace")]
             self.tracer.emit(id, EventKind::Miss);
         }
         Ok(())
@@ -324,7 +309,7 @@ impl<S: PageStore> BufferManager<S> {
     /// prefetch share mirrored in `IoStats::prefetch_reads`) but **not** as
     /// a pool access: no miss is charged to any query, and the later
     /// consuming access lands as a hit. Emits [`EventKind::Prefetch`]
-    /// instead of a miss in trace builds.
+    /// instead of a miss.
     pub fn prefetch(&mut self, id: PageId) -> io::Result<PrefetchOutcome> {
         if self.pool.contains(id) {
             return Ok(PrefetchOutcome::Resident);
@@ -347,7 +332,6 @@ impl<S: PageStore> BufferManager<S> {
         self.stats.reads += 1;
         self.stats.prefetch_reads += 1;
         self.frames.insert(id, frame);
-        #[cfg(feature = "trace")]
         self.tracer.emit(id, EventKind::Prefetch);
         Ok(PrefetchOutcome::Fetched)
     }
@@ -379,17 +363,15 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Sets the trace span subsequent events are attributed to: the
     /// query/operation id (0 = none) and the on-page level of the pages
-    /// about to be touched (-1 = unknown). Only present with the `trace`
-    /// feature; external drivers like the batch executor use this the same
-    /// way the tree's own query path does internally.
-    #[cfg(feature = "trace")]
+    /// about to be touched (-1 = unknown). External drivers like the batch
+    /// executor use this the same way the tree's own query path does
+    /// internally.
     pub fn set_trace_span(&mut self, query_id: u64, level: i16) {
         self.tracer.query_id = query_id;
         self.tracer.level = level;
     }
 
     /// The operation id of the current trace span (0 = none).
-    #[cfg(feature = "trace")]
     pub fn trace_span_id(&self) -> u64 {
         self.tracer.query_id
     }
@@ -402,7 +384,6 @@ impl<S: PageStore> BufferManager<S> {
         self.store.read_page(id, &mut self.scratch)?;
         self.verify_read(id, &self.scratch)?;
         self.stats.peek_reads += 1;
-        #[cfg(feature = "trace")]
         self.tracer.emit(id, EventKind::PeekRead);
         Ok(&self.scratch)
     }
@@ -416,7 +397,6 @@ impl<S: PageStore> BufferManager<S> {
         }
         self.store.write_page(id, data)?;
         self.stats.writes += 1;
-        #[cfg(feature = "trace")]
         self.tracer.emit(id, EventKind::WriteBack);
         Ok(())
     }
@@ -429,7 +409,6 @@ impl<S: PageStore> BufferManager<S> {
         assert_eq!(data.len(), PAGE_SIZE);
         match self.pool.access(id) {
             AccessOutcome::Hit => {
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Hit);
             }
             AccessOutcome::Miss { evicted } => {
@@ -441,23 +420,19 @@ impl<S: PageStore> BufferManager<S> {
                 self.store.read_page(id, &mut frame)?;
                 self.stats.reads += 1;
                 self.frames.insert(id, frame);
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Miss);
             }
             AccessOutcome::MissBypass => {
                 self.store.read_page(id, &mut self.scratch)?;
                 self.stats.reads += 1;
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::Miss);
                 if let Some(wal) = &mut self.wal {
                     wal.log_page_image(id.0, &self.scratch, data)?;
                     wal.sync()?;
-                    #[cfg(feature = "trace")]
                     self.tracer.emit(id, EventKind::WalAppend);
                 }
                 self.store.write_page(id, data)?;
                 self.stats.writes += 1;
-                #[cfg(feature = "trace")]
                 self.tracer.emit(id, EventKind::WriteBack);
                 return Ok(());
             }
@@ -465,7 +440,6 @@ impl<S: PageStore> BufferManager<S> {
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
         if let Some(wal) = &mut self.wal {
             wal.log_page_image(id.0, frame, data)?;
-            #[cfg(feature = "trace")]
             self.tracer.emit(id, EventKind::WalAppend);
         }
         frame.copy_from_slice(data);
@@ -498,7 +472,6 @@ impl<S: PageStore> BufferManager<S> {
             self.store.write_page(id, frame)?;
             self.stats.writes += 1;
             self.pool.clear_dirty(id);
-            #[cfg(feature = "trace")]
             self.tracer.emit_at(id, -1, EventKind::WriteBack);
         }
         self.store.flush()

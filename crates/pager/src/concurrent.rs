@@ -41,7 +41,6 @@ use rtree_buffer::{
 };
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
-#[cfg(feature = "trace")]
 use rtree_obs::{EventKind, IoEvent, TraceSink};
 use rtree_wal::{GroupCommitStats, GroupWal, Lsn};
 use std::collections::{BTreeMap, HashMap};
@@ -49,14 +48,22 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Per-query accounting carried through one traversal (trace builds only):
-/// the span id plus local read/access counters, recorded into the tree's
+/// Per-query accounting carried through one traversal: the span id plus
+/// local read/access counters, recorded into the tree's
 /// [`rtree_obs::QueryMetrics`] when the query finishes.
-#[cfg(feature = "trace")]
 struct QuerySpan {
     qid: u64,
     reads: u64,
     accesses: u64,
+}
+
+/// The trace event for one pool access.
+fn access_event(missed: bool) -> EventKind {
+    if missed {
+        EventKind::Miss
+    } else {
+        EventKind::Hit
+    }
 }
 
 /// Fibonacci multiplier for the page → shard hash.
@@ -211,14 +218,11 @@ pub struct ConcurrentDiskRTree<S> {
     root_frame: OnceLock<Arc<[u8]>>,
     peek_reads: AtomicU64,
     meta: PageMeta,
-    /// Trace sink shared by every querying thread (trace builds only).
-    #[cfg(feature = "trace")]
+    /// Trace sink shared by every querying thread (`None` = no tracing).
     sink: Option<Arc<dyn TraceSink>>,
-    /// Query span id source (trace builds only; 0 = no span).
-    #[cfg(feature = "trace")]
+    /// Query span id source (0 = no span).
     query_ids: AtomicU64,
-    /// Per-query latency / reads / pins distributions (trace builds only).
-    #[cfg(feature = "trace")]
+    /// Per-query latency / reads / pins distributions.
     metrics: rtree_obs::QueryMetrics,
     /// Present iff the tree was opened writable.
     writer: Option<WriterState>,
@@ -322,11 +326,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             root_frame: OnceLock::new(),
             peek_reads: AtomicU64::new(0),
             meta,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             query_ids: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
             metrics: rtree_obs::QueryMetrics::new(),
             writer: None,
         }
@@ -334,21 +335,33 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 
     /// Routes every physical-I/O and pool-outcome event to `sink` (`None`
     /// stops tracing). Takes `&mut self`: install the sink before sharing
-    /// the tree across threads. Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// the tree across threads.
     pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
         self.sink = sink;
     }
 
     /// Snapshot of the per-query latency / reads / pins histograms
-    /// (all threads). Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// (all threads).
     pub fn query_metrics(&self) -> rtree_obs::QueryMetricsSnapshot {
         self.metrics.snapshot()
     }
 
-    /// Emits one trace event (trace builds only; no-op without a sink).
-    #[cfg(feature = "trace")]
+    /// Runs one traversal under a fresh query span and records its
+    /// latency, reads and accesses into the query metrics.
+    fn with_span<T>(&self, traverse: impl FnOnce(&mut QuerySpan) -> T) -> T {
+        let mut span = QuerySpan {
+            qid: self.query_ids.fetch_add(1, Ordering::Relaxed) + 1,
+            reads: 0,
+            accesses: 0,
+        };
+        let start = rtree_obs::now_ns();
+        let result = traverse(&mut span);
+        self.metrics
+            .record_query(rtree_obs::now_ns() - start, span.reads, span.accesses);
+        result
+    }
+
+    /// Emits one trace event (no-op without a sink).
     #[inline]
     fn emit(&self, query_id: u64, page: PageId, level: i16, kind: EventKind) {
         if let Some(sink) = &self.sink {
@@ -382,9 +395,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     }
 
     /// Physical I/O counters so far (all threads), aggregated from the
-    /// shards' relaxed atomics — no pool latch is taken. The concurrent
-    /// tree is read-only, so `writes` stays 0; the shape matches
-    /// [`crate::BufferManager::io_stats`] so benches report one thing.
+    /// shards' relaxed atomics — no pool latch is taken. `writes` counts
+    /// the pages a writable tree's checkpoints wrote (0 when read-only);
+    /// the shape matches [`crate::BufferManager::io_stats`] so benches
+    /// report one thing.
     pub fn io_stats(&self) -> IoStats {
         IoStats {
             reads: self.physical_reads(),
@@ -476,7 +490,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 shard.reads.fetch_add(1, Ordering::Relaxed);
                 shard.stats.record_miss();
                 s.frames.insert(id, Arc::from(buf.into_boxed_slice()));
-                #[cfg(feature = "trace")]
                 self.emit(0, id, self.meta.onpage_level_of(page), EventKind::Miss);
             }
         }
@@ -670,28 +683,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         if let Some(w) = &self.writer {
             return self.query_writer(w, query);
         }
-        #[cfg(feature = "trace")]
-        {
-            let mut span = QuerySpan {
-                qid: self.query_ids.fetch_add(1, Ordering::Relaxed) + 1,
-                reads: 0,
-                accesses: 0,
-            };
-            let start = rtree_obs::now_ns();
-            let result = self.query_inner(query, &mut span);
-            self.metrics
-                .record_query(rtree_obs::now_ns() - start, span.reads, span.accesses);
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.query_inner(query)
+        self.with_span(|span| self.query_inner(query, span))
     }
 
-    fn query_inner(
-        &self,
-        query: &Rect,
-        #[cfg(feature = "trace")] span: &mut QuerySpan,
-    ) -> io::Result<Vec<u64>> {
+    fn query_inner(&self, query: &Rect, span: &mut QuerySpan) -> io::Result<Vec<u64>> {
         let mut results = Vec::new();
         let root = PageId(self.meta.root);
         let root_level = (self.meta.height - 1) as u16;
@@ -699,12 +694,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         // Uncharged root peek (model semantics: a node is accessed iff its
         // MBR intersects the query).
         let (root_frame, fresh_peek) = self.root_frame()?;
-        #[cfg(feature = "trace")]
         if fresh_peek {
             self.emit(span.qid, root, root_level as i16, EventKind::PeekRead);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = fresh_peek;
         // Scratch node + match list reused across the walk (no per-page
         // allocation); the SoA decode is gather-free on v3 pages.
         let mut node = NodeSoA::new();
@@ -722,21 +714,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
             let (frame, missed) = self.fetch(pid)?;
-            #[cfg(feature = "trace")]
-            {
-                span.accesses += 1;
-                if missed {
-                    span.reads += 1;
-                }
-                let kind = if missed {
-                    EventKind::Miss
-                } else {
-                    EventKind::Hit
-                };
-                self.emit(span.qid, pid, level as i16, kind);
+            span.accesses += 1;
+            if missed {
+                span.reads += 1;
             }
-            #[cfg(not(feature = "trace"))]
-            let _ = missed;
+            self.emit(span.qid, pid, level as i16, access_event(missed));
             node.decode_into_trusted(&frame)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             matches.clear();
@@ -786,7 +768,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
             dist2: 0.0,
             kind: crate::disk_tree::KnnKind::Node(root, u16::MAX),
         });
-        #[cfg(feature = "trace")]
         let qid = self.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
         while let Some(entry) = queue.pop() {
             match entry.kind {
@@ -817,17 +798,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                         None => {
                             let (frame, missed) = self.fetch(PageId(pid))?;
                             node.decode_into_trusted(&frame)?;
-                            #[cfg(feature = "trace")]
-                            {
-                                let kind = if missed {
-                                    EventKind::Miss
-                                } else {
-                                    EventKind::Hit
-                                };
-                                self.emit(qid, PageId(pid), node.level as i16, kind);
-                            }
-                            #[cfg(not(feature = "trace"))]
-                            let _ = missed;
+                            self.emit(qid, PageId(pid), node.level as i16, access_event(missed));
                         }
                     }
                     within.clear();
@@ -893,7 +864,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
 
         // Shared uncharged root peek; workers reuse the decoded MBR.
         let (root_frame, fresh_peek) = self.root_frame()?;
-        #[cfg(feature = "trace")]
         if fresh_peek {
             self.emit(
                 0,
@@ -902,8 +872,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 EventKind::PeekRead,
             );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = fresh_peek;
         let root_node = NodeSoA::decode(&root_frame)?;
         let Some(root_mbr) = root_node.rects.mbr() else {
             return Ok(vec![Vec::new(); queries.len()]);
@@ -933,28 +901,14 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// One worker's level-synchronous deduplicated traversal over its
     /// contiguous slice of the batch.
     fn batch_inner(&self, queries: &[Rect], root_mbr: &Rect) -> io::Result<Vec<Vec<u64>>> {
-        #[cfg(feature = "trace")]
-        {
-            let mut span = QuerySpan {
-                qid: self.query_ids.fetch_add(1, Ordering::Relaxed) + 1,
-                reads: 0,
-                accesses: 0,
-            };
-            let start = rtree_obs::now_ns();
-            let result = self.batch_levels(queries, root_mbr, &mut span);
-            self.metrics
-                .record_query(rtree_obs::now_ns() - start, span.reads, span.accesses);
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.batch_levels(queries, root_mbr)
+        self.with_span(|span| self.batch_levels(queries, root_mbr, span))
     }
 
     fn batch_levels(
         &self,
         queries: &[Rect],
         root_mbr: &Rect,
-        #[cfg(feature = "trace")] span: &mut QuerySpan,
+        span: &mut QuerySpan,
     ) -> io::Result<Vec<Vec<u64>>> {
         let mut results = vec![Vec::new(); queries.len()];
         let active: Vec<u32> = (0..queries.len() as u32)
@@ -977,21 +931,16 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         while !frontier.is_empty() {
             for (pid, qids) in std::mem::take(&mut frontier) {
                 let (frame, missed) = self.fetch(PageId(pid))?;
-                #[cfg(feature = "trace")]
-                {
-                    span.accesses += 1;
-                    if missed {
-                        span.reads += 1;
-                    }
-                    let kind = if missed {
-                        EventKind::Miss
-                    } else {
-                        EventKind::Hit
-                    };
-                    self.emit(span.qid, PageId(pid), self.meta.onpage_level_of(pid), kind);
+                span.accesses += 1;
+                if missed {
+                    span.reads += 1;
                 }
-                #[cfg(not(feature = "trace"))]
-                let _ = missed;
+                self.emit(
+                    span.qid,
+                    PageId(pid),
+                    self.meta.onpage_level_of(pid),
+                    access_event(missed),
+                );
                 node.decode_into_trusted(&frame)?;
                 for qid in qids {
                     matched.clear();
@@ -1075,7 +1024,6 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     fn latch_acquire(&self, w: &WriterState, set: &mut LatchSet<'_>, id: u64, exclusive: bool) {
         if set.acquire(id, exclusive) {
             w.latch_waits.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "trace")]
             self.emit(0, PageId(id), -1, EventKind::LatchWait);
         }
     }
@@ -1091,17 +1039,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         // Buffer traffic from the write path shows up in the trace stream
         // like any query's, so the miss ledger stays reconcilable with the
         // physical-read counters even on a read-write server.
-        #[cfg(feature = "trace")]
-        {
-            let kind = if missed {
-                EventKind::Miss
-            } else {
-                EventKind::Hit
-            };
-            self.emit(0, PageId(id), -1, kind);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = missed;
+        self.emit(0, PageId(id), -1, access_event(missed));
         Ok(NodePage::decode(&frame)?)
     }
 
@@ -1263,20 +1201,12 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// Makes `lsn` durable through the group-commit protocol; when this
     /// thread led the batch, a flush event carries the batch size.
     fn group_commit(&self, w: &WriterState, lsn: Lsn) -> io::Result<()> {
-        #[cfg(feature = "trace")]
-        {
-            let before = w.wal.stats().committed_ops;
-            if w.wal.commit(lsn)? {
-                let batch = w.wal.stats().committed_ops.saturating_sub(before);
-                self.emit(0, PageId(batch), -1, EventKind::GroupCommitFlush);
-            }
-            Ok(())
+        let before = w.wal.stats().committed_ops;
+        if w.wal.commit(lsn)? {
+            let batch = w.wal.stats().committed_ops.saturating_sub(before);
+            self.emit(0, PageId(batch), -1, EventKind::GroupCommitFlush);
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            w.wal.commit(lsn)?;
-            Ok(())
-        }
+        Ok(())
     }
 
     /// Inserts an item. Thread-safe: the structure change runs under
@@ -1728,6 +1658,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         for (id, frame) in &overlay {
             self.store.write_page_shared(PageId(*id), frame)?;
             w.page_writes.fetch_add(1, Ordering::Relaxed);
+            self.emit(0, PageId(*id), -1, EventKind::WriteBack);
             let shard = self.shard(PageId(*id));
             let mut s = shard.state.lock();
             if s.pool.contains(PageId(*id)) {
@@ -1744,6 +1675,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         meta.encode(&mut buf);
         self.store.write_page_shared(PageId(0), &buf)?;
         w.page_writes.fetch_add(1, Ordering::Relaxed);
+        self.emit(0, PageId(0), -1, EventKind::WriteBack);
         self.store.flush_shared()?;
         w.wal.checkpoint()?;
         w.overlay.write().clear();

@@ -55,11 +55,7 @@ pub struct DiskRTree<S: PageStore> {
     pub(crate) mgr: BufferManager<S>,
     pub(crate) meta: PageMeta,
     /// Monotonic query/operation span id source (0 = no span).
-    #[cfg(feature = "trace")]
     next_query: u64,
-    /// Per-query latency / reads / pins distributions.
-    #[cfg(feature = "trace")]
-    metrics: rtree_obs::QueryMetrics,
 }
 
 impl<S: PageStore> DiskRTree<S> {
@@ -72,10 +68,7 @@ impl<S: PageStore> DiskRTree<S> {
         DiskRTree {
             mgr,
             meta,
-            #[cfg(feature = "trace")]
             next_query: 0,
-            #[cfg(feature = "trace")]
-            metrics: rtree_obs::QueryMetrics::new(),
         }
     }
     /// Serializes `tree` into `store` and returns a handle with the given
@@ -228,16 +221,10 @@ impl<S: PageStore> DiskRTree<S> {
             self.meta.level_starts[p]
         };
         for page in 1..end {
-            #[cfg(feature = "trace")]
-            {
-                self.mgr.tracer.level = self.meta.onpage_level_of(page);
-            }
+            self.mgr.tracer.level = self.meta.onpage_level_of(page);
             self.mgr.pin(PageId(page))?;
         }
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.level = -1;
-        }
+        self.mgr.tracer.level = -1;
         Ok(())
     }
 
@@ -308,33 +295,20 @@ impl<S: PageStore> DiskRTree<S> {
     }
 
     /// Routes every physical-I/O and pool-outcome event to `sink` (`None`
-    /// stops tracing). Only present with the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// stops tracing).
     pub fn set_trace_sink(&mut self, sink: Option<std::sync::Arc<dyn rtree_obs::TraceSink>>) {
         self.mgr.set_trace_sink(sink);
     }
 
-    /// Snapshot of the per-query latency / reads / pins histograms. Only
-    /// present with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn query_metrics(&self) -> rtree_obs::QueryMetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Opens a traced mutation span: subsequent events carry a fresh
-    /// operation id (levels are unknown during mutation, so -1).
-    #[cfg(feature = "trace")]
-    pub(crate) fn begin_op(&mut self) {
-        self.next_query += 1;
-        self.mgr.tracer.query_id = self.next_query;
-        self.mgr.tracer.level = -1;
-    }
-
-    /// Closes the current traced span.
-    #[cfg(feature = "trace")]
-    pub(crate) fn end_op(&mut self) {
-        self.mgr.tracer.query_id = 0;
-        self.mgr.tracer.level = -1;
+    /// Runs one operation under a fresh trace span: its events carry a new
+    /// operation id (levels start unknown, -1, until a traversal sets
+    /// them), and the span closes when `op` returns.
+    pub(crate) fn in_span<T>(&mut self, op: impl FnOnce(&mut Self) -> T) -> T {
+        let id = self.allocate_op_id();
+        self.mgr.set_trace_span(id, -1);
+        let result = op(self);
+        self.mgr.set_trace_span(0, -1);
+        result
     }
 
     /// Mutable access to the underlying buffer manager — the hook external
@@ -347,9 +321,7 @@ impl<S: PageStore> DiskRTree<S> {
 
     /// Allocates a fresh operation-span id from the same sequence
     /// [`DiskRTree::query`] uses, for external engines that attribute their
-    /// trace events to a span of their own. Only present with the `trace`
-    /// feature.
-    #[cfg(feature = "trace")]
+    /// trace events to a span of their own.
     pub fn allocate_op_id(&mut self) -> u64 {
         self.next_query += 1;
         self.next_query
@@ -359,23 +331,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// whose MBR intersects the query is fetched through the buffer
     /// manager; physical reads accumulate in [`DiskRTree::physical_reads`].
     pub fn query(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-            let start = rtree_obs::now_ns();
-            let reads_before = self.mgr.physical_reads();
-            let accesses_before = self.mgr.pool().stats().accesses;
-            let result = self.query_inner(query);
-            self.metrics.record_query(
-                rtree_obs::now_ns() - start,
-                self.mgr.physical_reads() - reads_before,
-                self.mgr.pool().stats().accesses - accesses_before,
-            );
-            self.end_op();
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.query_inner(query)
+        self.in_span(|tree| tree.query_inner(query))
     }
 
     fn query_inner(&mut self, query: &Rect) -> io::Result<Vec<u64>> {
@@ -389,10 +345,7 @@ impl<S: PageStore> DiskRTree<S> {
 
         // Root handling mirrors the model: access it only if its MBR
         // intersects the query. Decode it from a cheap peek first.
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.level = root_level as i16;
-        }
+        self.mgr.tracer.level = root_level as i16;
         node.decode_into_trusted(self.mgr.fetch_uncharged(root)?)?;
         let Some(root_mbr) = node.rects.mbr() else {
             return Ok(results);
@@ -405,10 +358,7 @@ impl<S: PageStore> DiskRTree<S> {
         // attributed to it (children of a level-L node sit at L - 1).
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
-            #[cfg(feature = "trace")]
-            {
-                self.mgr.tracer.level = level as i16;
-            }
+            self.mgr.tracer.level = level as i16;
             node.decode_into_trusted(self.mgr.fetch(pid)?)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             matches.clear();
@@ -437,10 +387,7 @@ impl<S: PageStore> DiskRTree<S> {
         let root = PageId(self.meta.root);
         let root_level = (self.meta.height - 1) as u16;
 
-        #[cfg(feature = "trace")]
-        {
-            self.mgr.tracer.level = root_level as i16;
-        }
+        self.mgr.tracer.level = root_level as i16;
         let root_node = NodePage::decode(self.mgr.fetch_uncharged(root)?)?;
         if root_node.entries.is_empty() {
             return Ok(results);
@@ -456,10 +403,7 @@ impl<S: PageStore> DiskRTree<S> {
 
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
-            #[cfg(feature = "trace")]
-            {
-                self.mgr.tracer.level = level as i16;
-            }
+            self.mgr.tracer.level = level as i16;
             let node = NodePage::decode(self.mgr.fetch(pid)?)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             for (r, ptr) in &node.entries {
@@ -488,16 +432,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// dispatched SIMD distance kernel pruning every node's entries against
     /// the current k-th-best bound before they are enqueued.
     pub fn nearest_neighbors(&mut self, p: &Point, k: usize) -> io::Result<Vec<Neighbor>> {
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-        }
-        let result = knn_inner(&mut self.mgr, &self.meta, p, k);
-        #[cfg(feature = "trace")]
-        {
-            self.end_op();
-        }
-        result
+        self.in_span(|tree| knn_inner(&mut tree.mgr, &tree.meta, p, k))
     }
 
     /// Executes a query and also reports how many physical reads it caused.
@@ -586,10 +521,7 @@ pub(crate) fn knn_inner<S: PageStore>(
                 } else {
                     f64::INFINITY
                 };
-                #[cfg(feature = "trace")]
-                {
-                    mgr.tracer.level = level as i16;
-                }
+                mgr.tracer.level = level as i16;
                 node.decode_into_trusted(mgr.fetch(PageId(pid))?)?;
                 within.clear();
                 node.rects.min_dist2_within(p, bound, &mut within);

@@ -189,15 +189,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
         debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-            let result = self.insert_inner(rect, item);
-            self.end_op();
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.insert_inner(rect, item)
+        self.in_span(|tree| tree.insert_inner(rect, item))
     }
 
     fn insert_inner(&mut self, rect: Rect, item: u64) -> io::Result<()> {
@@ -210,15 +202,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// underfull nodes and reinserting their orphaned entries. Returns
     /// whether the entry was found.
     pub fn delete(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {
-        #[cfg(feature = "trace")]
-        {
-            self.begin_op();
-            let result = self.delete_inner(rect, item);
-            self.end_op();
-            result
-        }
-        #[cfg(not(feature = "trace"))]
-        self.delete_inner(rect, item)
+        self.in_span(|tree| tree.delete_inner(rect, item))
     }
 
     fn delete_inner(&mut self, rect: &Rect, item: u64) -> io::Result<bool> {

@@ -21,8 +21,8 @@
 //! * [`pager`] — page file + buffer manager + disk-backed R-tree execution
 //!   that counts physical reads.
 //! * [`obs`] — observability: I/O trace events and sinks, power-of-two
-//!   histograms, Prometheus-style export (hooks in `pager` are behind its
-//!   `trace` cargo feature).
+//!   histograms, Prometheus-style export (the hooks in `pager` are always
+//!   compiled and inert until a sink is installed).
 //! * [`wal`] — the write-ahead log backing the durable write path.
 //! * [`model`] — the paper's analytic models: node-access cost
 //!   (Kamel–Faloutsos with the Pagel boundary correction), data-driven

@@ -10,8 +10,8 @@
 //! from the answer. What v4 buys is density: 253 internal entries per
 //! 4 KiB page instead of 102, so at equal frame budgets the buffer holds
 //! more of the tree and demand reads can only go down. Both halves are
-//! pinned here. Run with `RTREE_FORCE_SCALAR=1` to hold the suite against
-//! the scalar kernel; CI exercises both.
+//! pinned here, for the dispatched kernel and the rect-at-a-time
+//! reference alike.
 
 use buffered_rtrees::buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,

@@ -7,9 +7,10 @@
 //! visits pages in exactly the order the seed path did, so the buffer sees
 //! the identical access string and every policy makes the identical
 //! eviction decisions. A perturbation of a single miss count is a
-//! regression even if the result sets still match. Run with
-//! `RTREE_FORCE_SCALAR=1` to hold the whole suite against the scalar
-//! kernel; CI exercises both.
+//! regression even if the result sets still match. The seed side runs the
+//! rect-at-a-time reference, so the comparison holds whichever kernel the
+//! CPU dispatches; `cargo test -p rtree-geom` checks every kernel the host
+//! can run against the scalar reference.
 
 use buffered_rtrees::buffer::{
     ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
