@@ -2,7 +2,7 @@
 
 use rtree_buffer::PageId;
 use rtree_geom::Rect;
-use rtree_pager::{BufferManager, DiskRTree, NodeSoA, PageStore, PrefetchOutcome};
+use rtree_pager::{BufferManager, DiskRTree, NodeRef, NodeSoA, PageStore, PrefetchOutcome};
 use std::collections::BTreeMap;
 use std::io;
 
@@ -154,9 +154,14 @@ impl BatchExecutor {
         queries: &[Rect],
         out: &mut BatchOutput,
     ) -> io::Result<()> {
+        // Scratch node reused across the batch, for pages that cannot be
+        // read in place (v2/v4 layouts): v3 frames are filtered where they
+        // sit in the pool.
+        let mut scratch = NodeSoA::new();
+
         // Uncharged root-MBR peek, mirroring `DiskRTree::query`: queries
         // that miss the root MBR never touch the buffer at all.
-        let root_node = NodeSoA::decode(mgr.fetch_uncharged(PageId(root))?)?;
+        let root_node = NodeRef::of(mgr.fetch_uncharged(PageId(root))?, &mut scratch)?;
         let Some(root_mbr) = root_node.rects.mbr() else {
             return Ok(());
         };
@@ -174,10 +179,6 @@ impl BatchExecutor {
         frontier.insert(root, active);
         let mut level = root_level;
 
-        // Scratch node reused across the batch: on v3 pages the coordinate
-        // planes decode contiguously into the SoA, so the per-node gather
-        // loop this executor used to run is gone.
-        let mut node = NodeSoA::new();
         let mut matched: Vec<u32> = Vec::new();
         // Pages currently held by a readahead reservation, for cleanup on
         // error (`drain_pins`) and hand-back on consumption.
@@ -213,14 +214,13 @@ impl BatchExecutor {
                     }
                 }
 
-                if let Err(e) = fetch_node(mgr, *page, &mut node) {
-                    drain_pins(mgr, &mut pinned);
-                    return Err(e);
-                }
-                if let Some(pos) = pinned.iter().position(|&p| p == *page) {
-                    pinned.swap_remove(pos);
-                    mgr.unpin(PageId(*page));
-                }
+                let node = match fetch_node(mgr, *page, &mut pinned, &mut scratch) {
+                    Ok(node) => node,
+                    Err(e) => {
+                        drain_pins(mgr, &mut pinned);
+                        return Err(e);
+                    }
+                };
                 out.stats.work_items += 1;
                 out.stats.page_requests += qids.len() as u64;
 
@@ -260,18 +260,31 @@ impl BatchExecutor {
     }
 }
 
-/// Fetches one node page (the charged, demand access) and decodes it into
-/// the caller's scratch node, reusing its allocations. The manager behind a
-/// [`DiskRTree`] verifies checksums at page-in, so the decode trusts the
-/// frame and skips its own checksum pass.
-fn fetch_node<S: PageStore>(
-    mgr: &mut BufferManager<S>,
+/// Fetches one node page (the charged, demand access) and views it. A page
+/// the readahead reserved is unpinned after that access — in that order,
+/// so the replacement policy sees what it always saw — and its frame is
+/// then re-borrowed without touching the pool. The manager behind a
+/// [`DiskRTree`] validates pages as they enter a frame, so a v3 frame is
+/// read in place; other layouts decode into `scratch`.
+fn fetch_node<'a, S: PageStore>(
+    mgr: &'a mut BufferManager<S>,
     page: u64,
-    node: &mut NodeSoA,
-) -> io::Result<()> {
-    let frame = mgr.fetch(PageId(page))?;
-    node.decode_into_trusted(frame)?;
-    Ok(())
+    pinned: &mut Vec<u64>,
+    scratch: &'a mut NodeSoA,
+) -> io::Result<NodeRef<'a>> {
+    let id = PageId(page);
+    let frame = match pinned.iter().position(|&p| p == page) {
+        None => mgr.fetch(id)?,
+        Some(pos) => {
+            mgr.fetch(id)?;
+            pinned.swap_remove(pos);
+            mgr.unpin(id);
+            // The page was pinned, so it is resident: this borrows its
+            // frame, it reads nothing.
+            mgr.fetch_uncharged(id)?
+        }
+    };
+    Ok(NodeRef::of(frame, scratch)?)
 }
 
 /// Releases every outstanding readahead reservation.

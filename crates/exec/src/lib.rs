@@ -17,9 +17,10 @@
 //!    through [`rtree_pager::BufferManager::prefetch`]: the frames are read
 //!    early, held (pinned) until their consuming access, and charged as
 //!    physical reads but never as query misses.
-//! 4. Per-node filtering runs the [`rtree_geom::RectSoA`] rect-vs-many-rects
-//!    kernel: the node's entry rectangles in flat SoA layout tested against
-//!    each query of the work item.
+//! 4. Per-node filtering runs the [`rtree_geom::RectSlices`]
+//!    rect-vs-many-rects kernel: the node's entry rectangles, read in place
+//!    from the buffer frame ([`rtree_pager::NodeRef`]), tested against each
+//!    query of the work item.
 //!
 //! Results are identical to running [`rtree_pager::DiskRTree::query`] per
 //! query, and — from a cold buffer — the batch never performs more physical

@@ -11,11 +11,17 @@
 //! lane-chunked, AVX2, NEON — see [`crate::simd`] for dispatch and the
 //! NaN/infinity policy):
 //!
-//! - [`RectSoA::intersecting`] — region queries and frontier expansion;
-//! - [`RectSoA::containing_point`] — point/contains queries (a degenerate
-//!   query rectangle, same comparisons with half the constants);
-//! - [`RectSoA::min_dist2_within`] — kNN bound pruning: minimum squared
+//! - [`RectSlices::intersecting`] — region queries and frontier expansion;
+//! - [`RectSlices::containing_point`] — point/contains queries (a
+//!   degenerate query rectangle, same comparisons with half the constants);
+//! - [`RectSlices::min_dist2_within`] — kNN bound pruning: minimum squared
 //!   distances with entries past the current bound discarded in-kernel.
+//!
+//! Every kernel is implemented once, on the borrowed view
+//! [`RectSlices`]. An owned [`RectSoA`] hands out that view
+//! ([`RectSoA::as_slices`]); so can anything else that holds four
+//! coordinate planes, such as a node page borrowed in place from a buffer
+//! frame.
 //!
 //! Intersection is closed on both ends, exactly like [`Rect::intersects`]:
 //! rectangles that merely touch (shared edge or corner) intersect, and
@@ -133,7 +139,7 @@ impl RectSoA {
     /// Mutable access to the four coordinate arrays — the page decoder's
     /// zero-gather fill seam (reuse the capacity, extend each array in one
     /// contiguous pass). The caller must leave all four the same length;
-    /// the kernels `debug_assert` it.
+    /// [`RectSoA::as_slices`] asserts it.
     pub fn arrays_mut(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>) {
         (
             &mut self.lo_x,
@@ -143,14 +149,94 @@ impl RectSoA {
         )
     }
 
+    /// The borrowed four-slice view every kernel runs on.
+    ///
+    /// # Panics
+    /// Panics if [`RectSoA::arrays_mut`] left the arrays at different
+    /// lengths.
     #[inline]
-    fn debug_assert_coherent(&self) {
-        debug_assert!(
-            self.lo_x.len() == self.lo_y.len()
-                && self.lo_x.len() == self.hi_x.len()
-                && self.lo_x.len() == self.hi_y.len(),
+    pub fn as_slices(&self) -> RectSlices<'_> {
+        RectSlices::new(&self.lo_x, &self.lo_y, &self.hi_x, &self.hi_y)
+    }
+
+    /// The rectangle at `i`, reassembled and unvalidated (see
+    /// [`RectSlices::get`]).
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    pub fn get(&self, i: usize) -> Rect {
+        Rect {
+            lo: Point::new(self.lo_x[i], self.lo_y[i]),
+            hi: Point::new(self.hi_x[i], self.hi_y[i]),
+        }
+    }
+
+    /// The MBR of the set, or `None` if it is empty.
+    pub fn mbr(&self) -> Option<Rect> {
+        self.as_slices().mbr()
+    }
+
+    // Each kernel has one implementation, on [`RectSlices`]; reach the
+    // variants through [`RectSoA::as_slices`].
+
+    /// See [`RectSlices::intersecting`].
+    #[inline]
+    pub fn intersecting(&self, q: &Rect, out: &mut Vec<u32>) {
+        self.as_slices().intersecting(q, out)
+    }
+
+    /// See [`RectSlices::intersecting_scalar`].
+    pub fn intersecting_scalar(&self, q: &Rect, out: &mut Vec<u32>) {
+        self.as_slices().intersecting_scalar(q, out)
+    }
+}
+
+/// A borrowed set of rectangles: four equal-length coordinate slices. The
+/// kernels run on this view, so the same code serves an owned [`RectSoA`]
+/// and coordinate planes borrowed in place from elsewhere — a node page's
+/// planes inside a buffer frame, for instance.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RectSlices<'a> {
+    lo_x: &'a [f64],
+    lo_y: &'a [f64],
+    hi_x: &'a [f64],
+    hi_y: &'a [f64],
+}
+
+impl<'a> RectSlices<'a> {
+    /// Views four coordinate slices as one set of rectangles.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    #[inline]
+    pub fn new(lo_x: &'a [f64], lo_y: &'a [f64], hi_x: &'a [f64], hi_y: &'a [f64]) -> Self {
+        assert!(
+            lo_x.len() == lo_y.len() && lo_x.len() == hi_x.len() && lo_x.len() == hi_y.len(),
             "SoA arrays differ in length"
         );
+        RectSlices {
+            lo_x,
+            lo_y,
+            hi_x,
+            hi_y,
+        }
+    }
+
+    /// Number of rectangles in the set.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.lo_x.len()
+    }
+
+    /// True if the set is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.lo_x.is_empty()
+    }
+
+    /// The four coordinate slices `(lo_x, lo_y, hi_x, hi_y)`.
+    pub fn arrays(&self) -> (&'a [f64], &'a [f64], &'a [f64], &'a [f64]) {
+        (self.lo_x, self.lo_y, self.hi_x, self.hi_y)
     }
 
     /// The rectangle at `i`, reassembled. No validation is applied: the set
@@ -200,11 +286,10 @@ impl RectSoA {
         }
     }
 
-    /// Scalar reference implementation of [`RectSoA::intersecting`]: one
+    /// Scalar reference implementation of [`RectSlices::intersecting`]: one
     /// [`Rect::intersects`] call per entry. The property suite checks every
     /// other variant against this for arbitrary inputs.
     pub fn intersecting_scalar(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
         for i in 0..self.len() {
             if self.get(i).intersects(q) {
                 out.push(i as u32);
@@ -216,7 +301,6 @@ impl RectSoA {
     /// into a per-block bitmask (a loop LLVM autovectorizes on any target),
     /// then set bits are drained.
     pub fn intersecting_portable(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
         let n = self.len();
         let mut base = 0;
         while base < n {
@@ -253,7 +337,6 @@ impl RectSoA {
             KernelKind::Avx2.is_available(),
             "AVX2 kernel invoked without AVX2 support"
         );
-        self.debug_assert_coherent();
         // SAFETY: AVX2 support was just verified; the shim reads only
         // in-bounds lanes (the loop stops 4 short of the end, the tail is
         // scalar).
@@ -309,7 +392,6 @@ impl RectSoA {
     /// NEON, so no runtime check is needed).
     #[cfg(target_arch = "aarch64")]
     pub fn intersecting_neon(&self, q: &Rect, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
         // SAFETY: NEON is baseline on aarch64; the shim reads only
         // in-bounds lanes (the loop stops 2 short of the end, the tail is
         // scalar).
@@ -360,17 +442,16 @@ impl RectSoA {
 
     /// Appends the index of every rectangle containing `p` (boundary
     /// inclusive) to `out`, in ascending order, through the dispatched
-    /// kernel. Identical to [`RectSoA::intersecting`] with the degenerate
+    /// kernel. Identical to [`RectSlices::intersecting`] with the degenerate
     /// query `[p, p]` — the point/contains traversal path.
     #[inline]
     pub fn containing_point(&self, p: &Point, out: &mut Vec<u32>) {
         self.intersecting(&Rect { lo: *p, hi: *p }, out)
     }
 
-    /// Scalar reference for [`RectSoA::containing_point`]: one
+    /// Scalar reference for [`RectSlices::containing_point`]: one
     /// [`Rect::contains_point`] call per entry.
     pub fn containing_point_scalar(&self, p: &Point, out: &mut Vec<u32>) {
-        self.debug_assert_coherent();
         for i in 0..self.len() {
             if self.get(i).contains_point(p) {
                 out.push(i as u32);
@@ -402,9 +483,8 @@ impl RectSoA {
         }
     }
 
-    /// Scalar reference for [`RectSoA::min_dist2_within`].
+    /// Scalar reference for [`RectSlices::min_dist2_within`].
     pub fn min_dist2_within_scalar(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.debug_assert_coherent();
         for i in 0..self.len() {
             let d2 = min_dist2_select(p, self.lo_x[i], self.lo_y[i], self.hi_x[i], self.hi_y[i]);
             if d2 <= bound {
@@ -413,9 +493,8 @@ impl RectSoA {
         }
     }
 
-    /// Portable lane-chunked variant of [`RectSoA::min_dist2_within`].
+    /// Portable lane-chunked variant of [`RectSlices::min_dist2_within`].
     pub fn min_dist2_within_portable(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.debug_assert_coherent();
         let n = self.len();
         let mut d2s = [0.0f64; BLOCK];
         let mut base = 0;
@@ -440,7 +519,7 @@ impl RectSoA {
         }
     }
 
-    /// Explicit AVX2 variant of [`RectSoA::min_dist2_within`].
+    /// Explicit AVX2 variant of [`RectSlices::min_dist2_within`].
     ///
     /// # Panics
     /// Panics if the CPU lacks AVX2 — gate on
@@ -451,7 +530,6 @@ impl RectSoA {
             KernelKind::Avx2.is_available(),
             "AVX2 kernel invoked without AVX2 support"
         );
-        self.debug_assert_coherent();
         // SAFETY: AVX2 support was just verified; lanes are in-bounds as in
         // the intersection shim.
         unsafe { self.min_dist2_within_avx2_inner(p, bound, out) }
@@ -504,13 +582,12 @@ impl RectSoA {
         }
     }
 
-    /// Explicit NEON variant of [`RectSoA::min_dist2_within`]. Uses
+    /// Explicit NEON variant of [`RectSlices::min_dist2_within`]. Uses
     /// compare-and-bit-select rather than `vmaxq_f64` so the max chain has
     /// the same select semantics as the scalar and AVX2 variants (NEON's
     /// `FMAX` propagates NaN; `FCMGT` + `BSL` does not).
     #[cfg(target_arch = "aarch64")]
     pub fn min_dist2_within_neon(&self, p: &Point, bound: f64, out: &mut Vec<(u32, f64)>) {
-        self.debug_assert_coherent();
         // SAFETY: NEON is baseline on aarch64; lanes are in-bounds as in
         // the intersection shim.
         unsafe { self.min_dist2_within_neon_inner(p, bound, out) }
@@ -599,15 +676,17 @@ mod tests {
     /// Every variant compiled into this build, as (name, runner) pairs.
     fn intersect_variants() -> Vec<(&'static str, IntersectFn)> {
         let mut v: Vec<(&'static str, IntersectFn)> = vec![
-            ("portable", RectSoA::intersecting_portable),
+            ("portable", |s, q, o| {
+                s.as_slices().intersecting_portable(q, o)
+            }),
             ("dispatch", RectSoA::intersecting),
         ];
         #[cfg(target_arch = "x86_64")]
         if KernelKind::Avx2.is_available() {
-            v.push(("avx2", RectSoA::intersecting_avx2));
+            v.push(("avx2", |s, q, o| s.as_slices().intersecting_avx2(q, o)));
         }
         #[cfg(target_arch = "aarch64")]
-        v.push(("neon", RectSoA::intersecting_neon));
+        v.push(("neon", |s, q, o| s.as_slices().intersecting_neon(q, o)));
         v
     }
 
@@ -681,9 +760,9 @@ mod tests {
             Point::new(3.0, 3.0), // outside everything
         ] {
             let (mut by_point, mut by_rect, mut scalar) = (Vec::new(), Vec::new(), Vec::new());
-            soa.containing_point(&p, &mut by_point);
+            soa.as_slices().containing_point(&p, &mut by_point);
             soa.intersecting(&Rect::point(p), &mut by_rect);
-            soa.containing_point_scalar(&p, &mut scalar);
+            soa.as_slices().containing_point_scalar(&p, &mut scalar);
             assert_eq!(by_point, by_rect);
             assert_eq!(by_point, scalar);
         }
@@ -694,7 +773,8 @@ mod tests {
         let soa = grid(97);
         let p = Point::new(0.42, 0.13);
         let mut all = Vec::new();
-        soa.min_dist2_within_scalar(&p, f64::INFINITY, &mut all);
+        soa.as_slices()
+            .min_dist2_within_scalar(&p, f64::INFINITY, &mut all);
         assert_eq!(all.len(), soa.len(), "infinite bound keeps everything");
         // Textbook MINDIST agreement on valid rectangles.
         for &(i, d2) in &all {
@@ -706,7 +786,7 @@ mod tests {
         // A finite bound is honored (closed: <=).
         let bound = 0.05;
         let mut kept = Vec::new();
-        soa.min_dist2_within(&p, bound, &mut kept);
+        soa.as_slices().min_dist2_within(&p, bound, &mut kept);
         let want: Vec<(u32, f64)> = all.iter().copied().filter(|&(_, d)| d <= bound).collect();
         assert_eq!(kept, want);
     }

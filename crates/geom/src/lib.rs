@@ -8,7 +8,8 @@
 //! packing loaders.
 //!
 //! All geometry is `f64` and the primitive types are `Copy`; only the
-//! batched [`RectSoA`] kernel owns buffers.
+//! batched [`RectSoA`] set owns buffers (its kernels run on the borrowed
+//! [`RectSlices`] view).
 
 mod batch;
 mod hilbert;
@@ -18,7 +19,7 @@ pub mod quant;
 mod rect;
 pub mod simd;
 
-pub use batch::RectSoA;
+pub use batch::{RectSlices, RectSoA};
 pub use hilbert::{hilbert_index, hilbert_point, HilbertCurve};
 pub use morton::{morton_index, MortonCurve};
 pub use point::Point;

@@ -30,29 +30,39 @@ type DistFn = fn(&RectSoA, &Point, f64, &mut Vec<(u32, f64)>);
 /// too.
 fn intersect_variants() -> Vec<(&'static str, IntersectFn)> {
     let mut v: Vec<(&'static str, IntersectFn)> = vec![
-        ("portable", RectSoA::intersecting_portable),
+        ("portable", |s, q, o| {
+            s.as_slices().intersecting_portable(q, o)
+        }),
         ("dispatch", RectSoA::intersecting),
     ];
     #[cfg(target_arch = "x86_64")]
     if KernelKind::Avx2.is_available() {
-        v.push(("avx2", RectSoA::intersecting_avx2));
+        v.push(("avx2", |s, q, o| s.as_slices().intersecting_avx2(q, o)));
     }
     #[cfg(target_arch = "aarch64")]
-    v.push(("neon", RectSoA::intersecting_neon));
+    v.push(("neon", |s, q, o| s.as_slices().intersecting_neon(q, o)));
     v
 }
 
 fn dist_variants() -> Vec<(&'static str, DistFn)> {
     let mut v: Vec<(&'static str, DistFn)> = vec![
-        ("portable", RectSoA::min_dist2_within_portable),
-        ("dispatch", RectSoA::min_dist2_within),
+        ("portable", |s, p, b, o| {
+            s.as_slices().min_dist2_within_portable(p, b, o)
+        }),
+        ("dispatch", |s, p, b, o| {
+            s.as_slices().min_dist2_within(p, b, o)
+        }),
     ];
     #[cfg(target_arch = "x86_64")]
     if KernelKind::Avx2.is_available() {
-        v.push(("avx2", RectSoA::min_dist2_within_avx2));
+        v.push(("avx2", |s, p, b, o| {
+            s.as_slices().min_dist2_within_avx2(p, b, o)
+        }));
     }
     #[cfg(target_arch = "aarch64")]
-    v.push(("neon", RectSoA::min_dist2_within_neon));
+    v.push(("neon", |s, p, b, o| {
+        s.as_slices().min_dist2_within_neon(p, b, o)
+    }));
     v
 }
 
@@ -164,9 +174,9 @@ proptest! {
     ) {
         let soa = RectSoA::from_rects(&rects);
         let mut slow = Vec::new();
-        soa.containing_point_scalar(&p, &mut slow);
+        soa.as_slices().containing_point_scalar(&p, &mut slow);
         let mut fast = Vec::new();
-        soa.containing_point(&p, &mut fast);
+        soa.as_slices().containing_point(&p, &mut fast);
         prop_assert_eq!(&fast, &slow, "dispatch vs scalar, point {:?}", p);
     }
 
@@ -189,7 +199,7 @@ proptest! {
     ) {
         let soa = RectSoA::from_rects(&rects);
         let mut slow = Vec::new();
-        soa.min_dist2_within_scalar(&p, bound, &mut slow);
+        soa.as_slices().min_dist2_within_scalar(&p, bound, &mut slow);
         for (name, run) in dist_variants() {
             let mut fast = Vec::new();
             run(&soa, &p, bound, &mut fast);
@@ -308,7 +318,8 @@ fn chunk_boundary_lengths_agree() {
         soa.intersecting_scalar(&hit_all, &mut slow);
         assert_eq!(slow.len(), n);
         let mut slow_d = Vec::new();
-        soa.min_dist2_within_scalar(&p, 1.0, &mut slow_d);
+        soa.as_slices()
+            .min_dist2_within_scalar(&p, 1.0, &mut slow_d);
         for (name, run) in intersect_variants() {
             let mut out = Vec::new();
             run(&soa, &hit_all, &mut out);
@@ -344,14 +355,15 @@ fn infinities_are_total() {
     }
     let p = Point::new(0.5, 0.5);
     let mut slow = Vec::new();
-    soa.min_dist2_within_scalar(&p, 0.0, &mut slow);
+    soa.as_slices().min_dist2_within_scalar(&p, 0.0, &mut slow);
     assert_eq!(slow, vec![(0, 0.0)], "distance to the infinite rect is 0");
     // A point at +∞ produces ∞ − ∞ = NaN inside the chain; select-max
     // drops it and the clamp against 0 yields a gap of 0 — every variant,
     // including scalar, reports distance 0, never NaN.
     let far = Point::new(f64::INFINITY, 0.0);
     let mut slow_far = Vec::new();
-    soa.min_dist2_within_scalar(&far, f64::INFINITY, &mut slow_far);
+    soa.as_slices()
+        .min_dist2_within_scalar(&far, f64::INFINITY, &mut slow_far);
     assert_eq!(slow_far, vec![(0, 0.0)], "NaN drops out, gap clamps to 0");
     for (name, run) in dist_variants() {
         let mut out = Vec::new();

@@ -12,6 +12,7 @@
 //!   image first, and a dirty page is never written back before the log is
 //!   synced — the write-ahead rule that makes crash recovery possible.
 
+use crate::page::{validate_install, PageBuf};
 use crate::{PageStore, PAGE_SIZE};
 use rtree_buffer::{AccessOutcome, BufferPool, PageId, PinError, ReplacementPolicy};
 use rtree_obs::{EventKind, IoEvent, TraceSink};
@@ -115,16 +116,17 @@ pub enum PrefetchOutcome {
 
 /// A buffer manager: caches page contents according to the pool's
 /// replacement decisions and counts every physical page transfer. One page
-/// frame per resident page; fetches return a borrowed frame.
+/// frame per resident page; fetches return a borrowed frame. Frames are
+/// 8-byte aligned, so [`crate::NodeRef::of`] reads v3 pages in place.
 pub struct BufferManager<S: PageStore> {
     store: S,
     pool: BufferPool,
-    frames: HashMap<PageId, Box<[u8]>>,
+    frames: HashMap<PageId, Box<PageBuf>>,
     /// Scratch frame for reads that bypass a fully pinned pool.
-    scratch: Box<[u8]>,
+    scratch: Box<PageBuf>,
     stats: IoStats,
     wal: Option<Wal>,
-    /// Verify page checksums at read-in (see
+    /// Validate pages as they are installed in frames (see
     /// [`BufferManager::set_verify_reads`]).
     verify_reads: bool,
     pub(crate) tracer: Tracer,
@@ -137,7 +139,7 @@ impl<S: PageStore> BufferManager<S> {
             store,
             pool: BufferPool::new(capacity, policy),
             frames: HashMap::with_capacity(capacity + 1),
-            scratch: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            scratch: Box::new(PageBuf::zeroed()),
             stats: IoStats::default(),
             wal: None,
             verify_reads: false,
@@ -145,29 +147,78 @@ impl<S: PageStore> BufferManager<S> {
         }
     }
 
-    /// Enables (or disables) checksum verification of every page the
-    /// manager reads from the store on the *read* paths — demand misses,
-    /// pins, prefetch fills and scratch reads alike (before-image reads on
-    /// the buffered-write path are exempt: an overwrite must be able to
-    /// repair a corrupt page). With this on, a frame served from the pool
-    /// is known-good, so decoders may skip their own checksum pass
-    /// ([`crate::NodeSoA::decode_into_trusted`]): corruption is caught
-    /// exactly once, at page-in, instead of on every traversal of a
-    /// resident frame. The tree layers enable this; the default is off so
-    /// the manager stays format-agnostic for raw-page users.
+    /// Enables (or disables) validation of every page as its bytes are
+    /// installed in a frame: the checksum, and for node pages the header,
+    /// entry count, layout flag and rectangle invariant (see
+    /// [`crate::NodeRef`]). It runs on every install path — demand misses,
+    /// pins, prefetch fills, scratch reads, write-through and buffered
+    /// writes — and a rejected page never stays resident: the next access
+    /// misses and re-reads it. The before-image a buffered write reads on
+    /// a miss is exempt (an overwrite must be able to repair a corrupt
+    /// page); the validated new image replaces it before the write returns.
+    ///
+    /// With this on, a frame served from the pool is known-good, so the
+    /// traversal loops view it with [`crate::NodeRef::of`], which checks
+    /// only the O(1) header: corruption is caught once, at install,
+    /// instead of on every access to a resident frame. The tree layers
+    /// enable this; the default is off so the manager stays
+    /// format-agnostic for raw-page users.
     pub fn set_verify_reads(&mut self, on: bool) {
         self.verify_reads = on;
     }
 
-    /// Checksum gate applied to freshly read bytes when
-    /// [`BufferManager::set_verify_reads`] is on.
-    fn verify_read(&self, id: PageId, frame: &[u8]) -> io::Result<()> {
+    /// The install check (see [`BufferManager::set_verify_reads`]).
+    fn install_check(&self, id: PageId, page: &[u8]) -> io::Result<()> {
         if self.verify_reads {
-            crate::page::verify_checksum(frame).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0))
-            })?;
+            validate_install(id.0, page)?;
         }
         Ok(())
+    }
+
+    /// Fills a frame for `id`, which the pool has just admitted: retires
+    /// `victim` first and reuses its buffer, reads the page, and (with
+    /// `check`) runs the install check. On any failure the admission is
+    /// backed out, so the next access misses and re-reads rather than
+    /// hitting a frameless or rejected entry.
+    fn page_in(&mut self, id: PageId, victim: Option<PageId>, check: bool) -> io::Result<()> {
+        match self.fill_frame(id, victim, check) {
+            Ok(frame) => {
+                self.stats.reads += 1;
+                self.frames.insert(id, frame);
+                self.tracer.emit(id, EventKind::Miss);
+                Ok(())
+            }
+            Err(e) => {
+                self.back_out(id);
+                Err(e)
+            }
+        }
+    }
+
+    fn fill_frame(
+        &mut self,
+        id: PageId,
+        victim: Option<PageId>,
+        check: bool,
+    ) -> io::Result<Box<PageBuf>> {
+        let reused = match victim {
+            Some(v) => self.retire_victim(v)?,
+            None => None,
+        };
+        let mut frame = reused.unwrap_or_else(|| Box::new(PageBuf::zeroed()));
+        self.store.read_page(id, &mut frame)?;
+        if check {
+            self.install_check(id, &frame)?;
+        }
+        Ok(frame)
+    }
+
+    /// Removes a page whose install failed from the pool, with its frame.
+    fn back_out(&mut self, id: PageId) {
+        self.pool.unpin(id);
+        if self.pool.discard(id) {
+            self.frames.remove(&id);
+        }
     }
 
     /// Routes every subsequent physical-I/O and pool-outcome event to
@@ -225,9 +276,9 @@ impl<S: PageStore> BufferManager<S> {
         self.store
     }
 
-    /// Writes the evicted page back if dirty (log first), then drops its
-    /// frame.
-    fn retire_victim(&mut self, victim: PageId) -> io::Result<()> {
+    /// Writes the evicted page back if dirty (log first), then removes its
+    /// frame and hands the buffer back for reuse.
+    fn retire_victim(&mut self, victim: PageId) -> io::Result<Option<Box<PageBuf>>> {
         if self.pool.is_dirty(victim) {
             // WAL rule: the log records covering this page must be durable
             // before the page image may overwrite the store.
@@ -240,8 +291,7 @@ impl<S: PageStore> BufferManager<S> {
             self.pool.clear_dirty(victim);
             self.tracer.emit_at(victim, -1, EventKind::WriteBack);
         }
-        self.frames.remove(&victim);
-        Ok(())
+        Ok(self.frames.remove(&victim))
     }
 
     /// Fetches a page, going to the store only on a miss.
@@ -250,25 +300,10 @@ impl<S: PageStore> BufferManager<S> {
             AccessOutcome::Hit => {
                 self.tracer.emit(id, EventKind::Hit);
             }
-            AccessOutcome::Miss { evicted } => {
-                if let Some(victim) = evicted {
-                    self.retire_victim(victim)?;
-                }
-                let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                self.store.read_page(id, &mut frame)?;
-                if let Err(e) = self.verify_read(id, &frame) {
-                    // Back the admission out: the next access must miss and
-                    // re-read rather than hit a frameless resident entry.
-                    self.pool.discard(id);
-                    return Err(e);
-                }
-                self.stats.reads += 1;
-                self.frames.insert(id, frame);
-                self.tracer.emit(id, EventKind::Miss);
-            }
+            AccessOutcome::Miss { evicted } => self.page_in(id, evicted, true)?,
             AccessOutcome::MissBypass => {
                 self.store.read_page(id, &mut self.scratch)?;
-                self.verify_read(id, &self.scratch)?;
+                self.install_check(id, &self.scratch)?;
                 self.stats.reads += 1;
                 self.tracer.emit(id, EventKind::Miss);
                 return Ok(&self.scratch);
@@ -284,20 +319,8 @@ impl<S: PageStore> BufferManager<S> {
             .pool
             .pin(id)
             .map_err(|e: PinError| io::Error::new(io::ErrorKind::OutOfMemory, e.to_string()))?;
-        if let Some(victim) = evicted {
-            self.retire_victim(victim)?;
-        }
         if !was_resident {
-            let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            self.store.read_page(id, &mut frame)?;
-            if let Err(e) = self.verify_read(id, &frame) {
-                self.pool.unpin(id);
-                self.pool.discard(id);
-                return Err(e);
-            }
-            self.stats.reads += 1;
-            self.frames.insert(id, frame);
-            self.tracer.emit(id, EventKind::Miss);
+            self.page_in(id, evicted, true)?;
         }
         Ok(())
     }
@@ -319,9 +342,9 @@ impl<S: PageStore> BufferManager<S> {
         }
         // Read before touching pool state: a failed I/O then needs no
         // rollback of a half-made reservation.
-        let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let mut frame = Box::new(PageBuf::zeroed());
         self.store.read_page(id, &mut frame)?;
-        self.verify_read(id, &frame)?;
+        self.install_check(id, &frame)?;
         let evicted = self
             .pool
             .admit_pinned(id)
@@ -382,7 +405,7 @@ impl<S: PageStore> BufferManager<S> {
     /// [`IoStats::peek_reads`].
     pub(crate) fn read_scratch(&mut self, id: PageId) -> io::Result<&[u8]> {
         self.store.read_page(id, &mut self.scratch)?;
-        self.verify_read(id, &self.scratch)?;
+        self.install_check(id, &self.scratch)?;
         self.stats.peek_reads += 1;
         self.tracer.emit(id, EventKind::PeekRead);
         Ok(&self.scratch)
@@ -392,6 +415,7 @@ impl<S: PageStore> BufferManager<S> {
     /// tracking — bulk materialization and other non-transactional paths).
     pub fn write(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), PAGE_SIZE);
+        self.install_check(id, data)?;
         if let Some(frame) = self.frames.get_mut(&id) {
             frame.copy_from_slice(data);
         }
@@ -407,20 +431,19 @@ impl<S: PageStore> BufferManager<S> {
     /// write degrades to logged write-through via the scratch frame).
     pub fn write_buffered(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), PAGE_SIZE);
-        match self.pool.access(id) {
+        self.install_check(id, data)?;
+        let missed = match self.pool.access(id) {
             AccessOutcome::Hit => {
                 self.tracer.emit(id, EventKind::Hit);
+                false
             }
             AccessOutcome::Miss { evicted } => {
-                if let Some(victim) = evicted {
-                    self.retire_victim(victim)?;
-                }
-                // The before-image requires the current page contents.
-                let mut frame = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                self.store.read_page(id, &mut frame)?;
-                self.stats.reads += 1;
-                self.frames.insert(id, frame);
-                self.tracer.emit(id, EventKind::Miss);
+                // The before-image requires the current page contents. It
+                // is read unchecked (an overwrite must be able to repair a
+                // corrupt page) and `data`, checked above, replaces it
+                // below — or the page is backed out if logging fails.
+                self.page_in(id, evicted, false)?;
+                true
             }
             AccessOutcome::MissBypass => {
                 self.store.read_page(id, &mut self.scratch)?;
@@ -436,10 +459,15 @@ impl<S: PageStore> BufferManager<S> {
                 self.tracer.emit(id, EventKind::WriteBack);
                 return Ok(());
             }
-        }
+        };
         let frame = self.frames.get_mut(&id).expect("resident page has a frame");
         if let Some(wal) = &mut self.wal {
-            wal.log_page_image(id.0, frame, data)?;
+            if let Err(e) = wal.log_page_image(id.0, frame, data) {
+                if missed {
+                    self.back_out(id);
+                }
+                return Err(e);
+            }
             self.tracer.emit(id, EventKind::WalAppend);
         }
         frame.copy_from_slice(data);
@@ -805,6 +833,114 @@ mod tests {
         let mut raw = vec![0u8; PAGE_SIZE];
         m.store_mut().read_page(PageId(2), &mut raw).unwrap();
         assert_eq!(raw[0], 0x77);
+    }
+
+    #[test]
+    fn v3_frames_are_served_in_place() {
+        // Every way this pool hands out a v3 page — a miss, a hit, a pin,
+        // a resident peek and a scratch peek — must let `NodeRef` borrow
+        // the frame rather than decode it, or the in-place traversal
+        // silently degrades to a per-access copy.
+        use crate::{DiskRTree, NodeRef, NodeSoA};
+        use rtree_geom::Rect;
+        let rects: Vec<Rect> = (0..500)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033) % 0.97;
+                Rect::new(x, x * 0.5, x + 0.01, x * 0.5 + 0.01)
+            })
+            .collect();
+        let tree = rtree_index::BulkLoader::hilbert(10).load(&rects);
+        let mut disk = DiskRTree::create(MemStore::new(), &tree, 4, LruPolicy::new()).unwrap();
+        let nodes = disk.meta().nodes;
+        let m = disk.manager_mut();
+        m.pin(PageId(1)).unwrap();
+        let check = |m: &mut BufferManager<MemStore>, id: u64, uncharged: bool| {
+            let frame = if uncharged {
+                m.fetch_uncharged(PageId(id)).unwrap()
+            } else {
+                m.fetch(PageId(id)).unwrap()
+            };
+            let mut scratch = NodeSoA::new();
+            let node = NodeRef::of(frame, &mut scratch).unwrap();
+            assert!(!node.is_empty());
+            let range = frame.as_ptr_range();
+            let in_place = range.contains(&node.ptrs.as_ptr().cast())
+                && range.contains(&node.rects.arrays().0.as_ptr().cast());
+            assert_eq!(in_place, cfg!(target_endian = "little"), "page {id}");
+            assert!(scratch.is_empty(), "page {id} was decoded");
+        };
+        check(m, 1, false); // pinned
+        check(m, 1, true); // resident peek
+        check(m, 2, false); // miss
+        check(m, 2, false); // hit
+        check(m, nodes, true); // scratch peek
+    }
+
+    #[test]
+    fn failed_store_reads_leave_nothing_resident() {
+        // A transient read fault on a miss or a pin must not leave the page
+        // admitted without a frame: the next access re-reads it.
+        use crate::FaultStore;
+        let mut store = MemStore::new();
+        for i in 0..4u8 {
+            let id = store.allocate().unwrap();
+            store.write_page(id, &page(i)).unwrap();
+        }
+        let faulty = FaultStore::new(store, rtree_wal::CrashSwitch::new()).fail_read_at(1);
+        let mut m = BufferManager::new(faulty, 2, LruPolicy::new());
+        assert!(m.fetch(PageId(1)).is_err());
+        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 1);
+        let faulty = FaultStore::new(MemStore::new(), rtree_wal::CrashSwitch::new());
+        let mut m = BufferManager::new(faulty.fail_read_at(1), 2, LruPolicy::new());
+        m.allocate().unwrap();
+        m.allocate().unwrap();
+        assert!(m.pin(PageId(1)).is_err());
+        assert_eq!(m.pinned_count(), 0);
+        m.pin(PageId(1)).unwrap();
+        assert_eq!(m.fetch(PageId(1)).unwrap()[0], 0);
+    }
+
+    #[test]
+    fn rejected_installs_leave_nothing_resident() {
+        use crate::{NodePage, PageMeta};
+        use rtree_geom::Rect;
+        let mut m = make(4, 4);
+        m.set_verify_reads(true);
+        // Raw test pages carry no checksum: every install path refuses them.
+        assert!(m.fetch(PageId(1)).is_err());
+        assert!(m.pin(PageId(2)).is_err());
+        assert!(m.fetch_uncharged(PageId(3)).is_err());
+        assert!(m.write(PageId(1), &page(7)).is_err());
+        assert!(m.write_buffered(PageId(1), &page(7)).is_err());
+        assert_eq!(m.pool().pinned_count(), 0);
+        assert!(m.frames.is_empty(), "no rejected page stayed resident");
+        // Sealed images go in, through reads and writes alike; the meta
+        // page needs only its checksum.
+        let mut node = vec![0u8; PAGE_SIZE];
+        NodePage {
+            level: 0,
+            entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 5)],
+        }
+        .encode(&mut node);
+        m.write_buffered(PageId(1), &node).unwrap();
+        m.write(PageId(2), &node).unwrap();
+        assert_eq!(m.fetch(PageId(2)).unwrap(), &node[..]);
+        let mut meta = vec![0u8; PAGE_SIZE];
+        PageMeta {
+            root: 1,
+            height: 1,
+            max_entries: 10,
+            min_entries: 4,
+            items: 1,
+            nodes: 1,
+            free_head: 0,
+            level_starts: vec![1],
+            internal_max_entries: 10,
+            compressed: false,
+        }
+        .encode(&mut meta);
+        m.write(PageId(0), &meta).unwrap();
+        assert_eq!(m.fetch(PageId(0)).unwrap(), &meta[..]);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! shard, and each shard owns its own short [`parking_lot::Mutex`] around a
 //! [`BufferPool`] slice plus the frames of its resident pages. Threads
 //! querying disjoint subtrees therefore touch disjoint latches and never
-//! contend; frames are shared as `Arc<[u8]>` so decoding and geometry tests
-//! — the CPU-heavy part of a query — run outside every lock, and the store
+//! contend; frames are shared as `Arc<PageBuf>` (8-byte-aligned pages,
+//! validated once when their bytes are installed) so the geometry tests —
+//! the CPU-heavy part of a query — run on the frames in place, outside
+//! every lock, and the store
 //! itself is read through [`SharedPageStore`] (`&self`), so even misses in
 //! different shards proceed in parallel.
 //!
@@ -33,8 +35,9 @@
 use crate::disk_tree::materialize;
 use crate::latch::{LatchSet, LatchTable, META_LATCH};
 use crate::mutate::{choose_subtree, mbr, quadratic_split};
+use crate::page::{validate_install, PageBuf};
 use crate::store::{ConcurrentPageStore, SharedPageStore};
-use crate::{IoStats, NodePage, NodeSoA, PageMeta, MAX_ENTRIES_PER_PAGE, PAGE_SIZE};
+use crate::{IoStats, NodePage, NodeRef, NodeSoA, PageMeta, MAX_ENTRIES_PER_PAGE, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
 use rtree_buffer::{
     AccessOutcome, AtomicBufferStats, BufferPool, BufferStats, PageId, ReplacementPolicy,
@@ -71,7 +74,7 @@ const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 struct ShardState {
     pool: BufferPool,
-    frames: HashMap<PageId, Arc<[u8]>>,
+    frames: HashMap<PageId, Arc<PageBuf>>,
 }
 
 /// One latch domain: a slice of the buffer capacity plus its counters.
@@ -117,7 +120,7 @@ struct WriterState {
     meta: Mutex<PageMeta>,
     /// Dirty-page overlay: page id → latest image. Checked before the shard
     /// pools on every writer-mode load.
-    overlay: RwLock<HashMap<u64, Arc<[u8]>>>,
+    overlay: RwLock<HashMap<u64, Arc<PageBuf>>>,
     /// Session-local free list of dissolved pages (not persisted: a
     /// checkpointed meta page stores `free_head = 0`, so pages freed since
     /// the last checkpoint leak on reopen — a documented trade for keeping
@@ -215,7 +218,7 @@ pub struct ConcurrentDiskRTree<S> {
     shard_shift: u32,
     /// Cached root frame for the uncharged MBR peek (the tree is
     /// immutable, so the root page never changes).
-    root_frame: OnceLock<Arc<[u8]>>,
+    root_frame: OnceLock<Arc<PageBuf>>,
     peek_reads: AtomicU64,
     meta: PageMeta,
     /// Trace sink shared by every querying thread (`None` = no tracing).
@@ -476,20 +479,19 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 .pool
                 .pin(id)
                 .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e.to_string()))?;
-            if let Some(victim) = evicted {
-                s.frames.remove(&victim);
-            }
+            let victim = evicted.and_then(|v| s.frames.remove(&v));
             if !was_resident {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.store.read_page_shared(id, &mut buf)?;
-                if let Err(e) = Self::verify_read(id, &buf) {
-                    s.pool.unpin(id);
-                    s.pool.discard(id);
-                    return Err(e);
-                }
+                let frame = match self.read_frame(id, victim) {
+                    Ok(frame) => frame,
+                    Err(e) => {
+                        s.pool.unpin(id);
+                        s.pool.discard(id);
+                        return Err(e);
+                    }
+                };
                 shard.reads.fetch_add(1, Ordering::Relaxed);
                 shard.stats.record_miss();
-                s.frames.insert(id, Arc::from(buf.into_boxed_slice()));
+                s.frames.insert(id, frame);
                 self.emit(0, id, self.meta.onpage_level_of(page), EventKind::Miss);
             }
         }
@@ -606,20 +608,30 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         Ok(())
     }
 
-    /// Checksum gate for bytes freshly read from the store. Every miss
-    /// path runs it, so frames served from the shards are known-good and
-    /// the traversal loops decode them with
-    /// [`NodeSoA::decode_into_trusted`] — corruption is caught exactly
-    /// once, at page-in, not on every access to a resident frame.
-    fn verify_read(id: PageId, buf: &[u8]) -> io::Result<()> {
-        crate::page::verify_checksum(buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("page {}: {e}", id.0)))
+    /// Reads `id` from the store straight into a shared frame — `victim`'s
+    /// buffer when no reader still holds it — and runs the install check
+    /// (checksum, header, rectangle invariant). Every path that fills a
+    /// frame from the store goes through here, so frames served from the
+    /// shards are known-good and the traversal loops read them in place
+    /// with [`NodeRef::of`]: corruption is caught once, at page-in, not on
+    /// every access to a resident frame.
+    fn read_frame(&self, id: PageId, victim: Option<Arc<PageBuf>>) -> io::Result<Arc<PageBuf>> {
+        // Under the shard latch a frame that left the map can gain no new
+        // holders, so a count of one means no reader still borrows it.
+        let mut frame = match victim {
+            Some(frame) if Arc::strong_count(&frame) == 1 => frame,
+            _ => Arc::new(PageBuf::zeroed()),
+        };
+        let buf = Arc::get_mut(&mut frame).expect("an unshared frame");
+        self.store.read_page_shared(id, buf)?;
+        validate_install(id.0, buf)?;
+        Ok(frame)
     }
 
     /// Fetches a page through its shard, charging the access to the pool.
     /// Also reports whether the access missed (i.e. cost a physical read),
     /// so the caller can attribute the event to its query span.
-    fn fetch(&self, id: PageId) -> io::Result<(Arc<[u8]>, bool)> {
+    fn fetch(&self, id: PageId) -> io::Result<(Arc<PageBuf>, bool)> {
         let shard = self.shard(id);
         let mut s = shard.state.lock();
         let outcome = s.pool.access(id);
@@ -630,28 +642,24 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 false,
             )),
             AccessOutcome::Miss { evicted } => {
-                if let Some(victim) = evicted {
-                    s.frames.remove(&victim);
-                }
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.store.read_page_shared(id, &mut buf)?;
-                if let Err(e) = Self::verify_read(id, &buf) {
-                    // Back the admission out so the next access misses and
-                    // re-reads instead of hitting a frameless entry.
-                    s.pool.discard(id);
-                    return Err(e);
-                }
+                let victim = evicted.and_then(|v| s.frames.remove(&v));
+                let frame = match self.read_frame(id, victim) {
+                    Ok(frame) => frame,
+                    Err(e) => {
+                        // Back the admission out so the next access misses
+                        // and re-reads instead of hitting a frameless entry.
+                        s.pool.discard(id);
+                        return Err(e);
+                    }
+                };
                 shard.reads.fetch_add(1, Ordering::Relaxed);
-                let frame: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
                 s.frames.insert(id, Arc::clone(&frame));
                 Ok((frame, true))
             }
             AccessOutcome::MissBypass => {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.store.read_page_shared(id, &mut buf)?;
-                Self::verify_read(id, &buf)?;
+                let frame = self.read_frame(id, None)?;
                 shard.reads.fetch_add(1, Ordering::Relaxed);
-                Ok((Arc::from(buf.into_boxed_slice()), true))
+                Ok((frame, true))
             }
         }
     }
@@ -661,18 +669,14 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// pool so the peek neither charges nor perturbs replacement state.
     /// Also reports whether *this* call performed the physical read, so the
     /// caller can emit the matching peek event.
-    fn root_frame(&self) -> io::Result<(Arc<[u8]>, bool)> {
+    fn root_frame(&self) -> io::Result<(Arc<PageBuf>, bool)> {
         if let Some(frame) = self.root_frame.get() {
             return Ok((Arc::clone(frame), false));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.store
-            .read_page_shared(PageId(self.meta.root), &mut buf)?;
-        Self::verify_read(PageId(self.meta.root), &buf)?;
+        let frame = self.read_frame(PageId(self.meta.root), None)?;
         // Two racing threads may both read; both transfers really happened,
         // so both count, but only one frame is kept.
         self.peek_reads.fetch_add(1, Ordering::Relaxed);
-        let frame: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
         Ok((Arc::clone(self.root_frame.get_or_init(|| frame)), true))
     }
 
@@ -697,12 +701,11 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         if fresh_peek {
             self.emit(span.qid, root, root_level as i16, EventKind::PeekRead);
         }
-        // Scratch node + match list reused across the walk (no per-page
-        // allocation); the SoA decode is gather-free on v3 pages.
-        let mut node = NodeSoA::new();
+        // Scratch node (for pages that cannot be read in place) and match
+        // list reused across the walk: no per-page allocation.
+        let mut scratch = NodeSoA::new();
         let mut matches: Vec<u32> = Vec::new();
-        node.decode_into_trusted(&root_frame)?;
-        let Some(root_mbr) = node.rects.mbr() else {
+        let Some(root_mbr) = NodeRef::of(&root_frame, &mut scratch)?.rects.mbr() else {
             return Ok(results);
         };
         if !root_mbr.intersects(query) {
@@ -719,7 +722,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 span.reads += 1;
             }
             self.emit(span.qid, pid, level as i16, access_event(missed));
-            node.decode_into_trusted(&frame)?;
+            let node = NodeRef::of(&frame, &mut scratch)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             matches.clear();
             node.rects.intersecting(query, &mut matches);
@@ -760,7 +763,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         if k == 0 || (self.writer.is_none() && self.meta.items == 0) {
             return Ok(result);
         }
-        let mut node = NodeSoA::new();
+        let mut scratch = NodeSoA::new();
         let mut within: Vec<(u32, f64)> = Vec::new();
         let mut queue = std::collections::BinaryHeap::new();
         let mut best_k = std::collections::BinaryHeap::with_capacity(k + 1);
@@ -793,13 +796,16 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                         .writer
                         .as_ref()
                         .and_then(|w| w.overlay.read().get(&pid).cloned());
-                    match overlay {
-                        Some(frame) => node.decode_into_trusted(&frame)?,
+                    let (frame, missed) = match overlay {
+                        Some(frame) => (frame, None),
                         None => {
                             let (frame, missed) = self.fetch(PageId(pid))?;
-                            node.decode_into_trusted(&frame)?;
-                            self.emit(qid, PageId(pid), node.level as i16, access_event(missed));
+                            (frame, Some(missed))
                         }
+                    };
+                    let node = NodeRef::of(&frame, &mut scratch)?;
+                    if let Some(missed) = missed {
+                        self.emit(qid, PageId(pid), node.level as i16, access_event(missed));
                     }
                     within.clear();
                     node.rects.min_dist2_within(p, bound, &mut within);
@@ -837,10 +843,10 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
     /// thread). `results[i]` holds the ids matching `queries[i]`.
     ///
     /// Each worker traverses its sub-batch **level-synchronously with page
-    /// dedup**: a page needed by k of its queries is fetched and decoded
+    /// dedup**: a page needed by k of its queries is fetched and read
     /// once, each level is visited in ascending page order (sequential
     /// under the bulk-loaded layout), and per-node filtering runs the
-    /// [`rtree_geom::RectSoA`] kernel. The root peek is shared and
+    /// [`rtree_geom::RectSlices`] kernel. The root peek is shared and
     /// uncharged, exactly as in [`ConcurrentDiskRTree::query`]. With
     /// `threads = 1` the traversal runs inline on the caller's thread.
     pub fn query_batch(&self, queries: &[Rect], threads: usize) -> io::Result<Vec<Vec<u64>>>
@@ -872,8 +878,8 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                 EventKind::PeekRead,
             );
         }
-        let root_node = NodeSoA::decode(&root_frame)?;
-        let Some(root_mbr) = root_node.rects.mbr() else {
+        let mut scratch = NodeSoA::new();
+        let Some(root_mbr) = NodeRef::of(&root_frame, &mut scratch)?.rects.mbr() else {
             return Ok(vec![Vec::new(); queries.len()]);
         };
 
@@ -922,10 +928,9 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         // BTreeMap is both the dedup and the per-level PageId sort.
         let mut frontier: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         frontier.insert(self.meta.root, active);
-        // Pages decode straight into SoA — on v3 images the coordinate
-        // planes arrive contiguously, so the per-node gather loop the
-        // batch path used to run is gone entirely.
-        let mut node = NodeSoA::new();
+        // v3 frames are filtered in place; the scratch node serves pages
+        // that cannot be (v2/v4 layouts).
+        let mut scratch = NodeSoA::new();
         let mut matched: Vec<u32> = Vec::new();
 
         while !frontier.is_empty() {
@@ -941,7 +946,7 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
                     self.meta.onpage_level_of(pid),
                     access_event(missed),
                 );
-                node.decode_into_trusted(&frame)?;
+                let node = NodeRef::of(&frame, &mut scratch)?;
                 for qid in qids {
                     matched.clear();
                     node.rects
@@ -1028,19 +1033,24 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         }
     }
 
-    /// Loads a node in writer mode: the dirty overlay shadows both the
+    /// A node's frame in writer mode: the dirty overlay shadows both the
     /// shard pools and the store (no-steal — the store never holds a page
     /// newer than the overlay).
-    fn load_w(&self, w: &WriterState, id: u64) -> io::Result<NodePage> {
+    fn frame_w(&self, w: &WriterState, id: u64) -> io::Result<Arc<PageBuf>> {
         if let Some(frame) = w.overlay.read().get(&id) {
-            return Ok(NodePage::decode(frame)?);
+            return Ok(Arc::clone(frame));
         }
         let (frame, missed) = self.fetch(PageId(id))?;
         // Buffer traffic from the write path shows up in the trace stream
         // like any query's, so the miss ledger stays reconcilable with the
         // physical-read counters even on a read-write server.
         self.emit(0, PageId(id), -1, access_event(missed));
-        Ok(NodePage::decode(&frame)?)
+        Ok(frame)
+    }
+
+    /// Loads a node in writer mode, decoded for mutation.
+    fn load_w(&self, w: &WriterState, id: u64) -> io::Result<NodePage> {
+        Ok(NodePage::decode(&self.frame_w(w, id)?)?)
     }
 
     /// Region query under the reader latch protocol: breadth-first
@@ -1058,19 +1068,21 @@ impl<S: SharedPageStore> ConcurrentDiskRTree<S> {
         set.release_all_but_last(1);
         let mut results = Vec::new();
         let mut frontier = vec![root];
+        let mut scratch = NodeSoA::new();
+        let mut matches: Vec<u32> = Vec::new();
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for &pid in &frontier {
-                let node = self.load_w(w, pid)?;
-                for (r, ptr) in &node.entries {
-                    if r.intersects(query) {
-                        if node.level == 0 {
-                            results.push(*ptr);
-                        } else {
-                            next.push(*ptr);
-                        }
-                    }
-                }
+                let frame = self.frame_w(w, pid)?;
+                let node = NodeRef::of(&frame, &mut scratch)?;
+                matches.clear();
+                node.rects.intersecting(query, &mut matches);
+                let out = if node.level == 0 {
+                    &mut results
+                } else {
+                    &mut next
+                };
+                out.extend(matches.iter().map(|&i| node.ptrs[i as usize]));
             }
             for &pid in &next {
                 self.latch_acquire(w, &mut set, pid, false);
@@ -1173,13 +1185,14 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     }
 
     /// Encodes a node into the dirty overlay (never straight to the
-    /// store: no-steal).
-    fn store_w(&self, w: &WriterState, id: u64, node: &NodePage) {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        node.encode_with(&mut buf, w.layout(node.level));
-        w.overlay
-            .write()
-            .insert(id, Arc::from(buf.into_boxed_slice()));
+    /// store: no-steal). The overlay is an install path like a page-in:
+    /// the image passes the same check before readers can see it.
+    fn store_w(&self, w: &WriterState, id: u64, node: &NodePage) -> io::Result<()> {
+        let mut frame = PageBuf::zeroed();
+        node.encode_with(&mut frame, w.layout(node.level));
+        validate_install(id, &frame)?;
+        w.overlay.write().insert(id, Arc::new(frame));
+        Ok(())
     }
 
     /// Allocates a page: the session free list first, then the store.
@@ -1214,8 +1227,8 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     /// appended before the change and fsynced — possibly by another
     /// thread's batch leader — after it).
     pub fn insert(&self, rect: &Rect, item: u64) -> io::Result<()> {
-        debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
         let w = self.writer_state()?;
+        crate::mutate::check_insert(rect)?;
         let gate = w.op_gate.read();
         let lsn = w.wal.log_insert(rect_key(rect), item)?;
         self.insert_latched(w, rect, item)?;
@@ -1251,7 +1264,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             let grown = node.entries[slot].0.union(rect);
             if grown != node.entries[slot].0 {
                 node.entries[slot].0 = grown;
-                self.store_w(w, cur, &node);
+                self.store_w(w, cur, &node)?;
             }
             let child = node.entries[slot].1;
             self.latch_acquire(w, &mut set, child, true);
@@ -1267,7 +1280,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         }
         node.entries.push((*rect, item));
         if node.entries.len() <= w.cap(node.level) {
-            self.store_w(w, cur, &node);
+            self.store_w(w, cur, &node)?;
         } else {
             self.split_latched(w, &mut path, cur, node)?;
         }
@@ -1293,9 +1306,9 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             let (a, b) = quadratic_split(entries, w.min_entries);
             let a_mbr = mbr(&a);
             let b_mbr = mbr(&b);
-            self.store_w(w, child_id, &NodePage { level, entries: a });
+            self.store_w(w, child_id, &NodePage { level, entries: a })?;
             let sib = self.alloc_w(w)?;
-            self.store_w(w, sib, &NodePage { level, entries: b });
+            self.store_w(w, sib, &NodePage { level, entries: b })?;
             w.meta.lock().nodes += 1;
             match path.pop() {
                 Some((parent_id, slot)) => {
@@ -1304,7 +1317,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
                     parent.entries[slot] = (a_mbr, child_id);
                     parent.entries.push((b_mbr, sib));
                     if parent.entries.len() <= w.cap(parent.level) {
-                        self.store_w(w, parent_id, &parent);
+                        self.store_w(w, parent_id, &parent)?;
                         return Ok(());
                     }
                     child_id = parent_id;
@@ -1320,7 +1333,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
                             level: level + 1,
                             entries: vec![(a_mbr, child_id), (b_mbr, sib)],
                         },
-                    );
+                    )?;
                     let mut m = w.meta.lock();
                     m.root = new_root;
                     m.height += 1;
@@ -1430,7 +1443,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         // exclusive latch: a delete record in the WAL always replays.
         let lsn = w.wal.log_delete(rect_key(rect), item)?;
         node.entries.remove(pos);
-        self.store_w(w, leaf, &node);
+        self.store_w(w, leaf, &node)?;
         w.meta.lock().items -= 1;
         w.logical_writes.fetch_add(1, Ordering::Relaxed);
         Ok(FastDelete::Deleted(lsn))
@@ -1470,7 +1483,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
                 w.meta.lock().nodes -= 1;
                 parent.entries.remove(slot);
             } else {
-                self.store_w(w, cur_id, &cur);
+                self.store_w(w, cur_id, &cur)?;
                 parent.entries[slot].0 = mbr(&cur.entries);
             }
             cur_id = parent_id;
@@ -1478,7 +1491,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
         }
         // `cur` is the root; it may legally underflow (or empty out when
         // it is a leaf).
-        self.store_w(w, cur_id, &cur);
+        self.store_w(w, cur_id, &cur)?;
 
         // Reinsert orphans highest level first, so subtrees land before
         // entries that would go under them.
@@ -1573,11 +1586,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
             let (a, b) = quadratic_split(std::mem::take(&mut node.entries), w.min_entries);
             child_mbr = mbr(&a);
             node.entries = a;
-            self.store_w(w, cur_id, &node);
+            self.store_w(w, cur_id, &node)?;
             split = Some(self.store_sibling_w(w, level, b)?);
         } else {
             child_mbr = mbr(&node.entries);
-            self.store_w(w, cur_id, &node);
+            self.store_w(w, cur_id, &node)?;
         }
         let mut child_id = cur_id;
 
@@ -1593,11 +1606,11 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
                 let (a, b) = quadratic_split(std::mem::take(&mut parent.entries), w.min_entries);
                 child_mbr = mbr(&a);
                 parent.entries = a;
-                self.store_w(w, pid, &parent);
+                self.store_w(w, pid, &parent)?;
                 split = Some(self.store_sibling_w(w, level, b)?);
             } else {
                 child_mbr = mbr(&parent.entries);
-                self.store_w(w, pid, &parent);
+                self.store_w(w, pid, &parent)?;
             }
             child_id = pid;
         }
@@ -1611,7 +1624,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
                     level: level + 1,
                     entries: vec![(child_mbr, child_id), sibling],
                 },
-            );
+            )?;
             let mut m = w.meta.lock();
             m.root = new_root_id;
             m.height += 1;
@@ -1630,7 +1643,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     ) -> io::Result<(Rect, u64)> {
         let rect = mbr(&entries);
         let id = self.alloc_w(w)?;
-        self.store_w(w, id, &NodePage { level, entries });
+        self.store_w(w, id, &NodePage { level, entries })?;
         w.meta.lock().nodes += 1;
         Ok((rect, id))
     }
@@ -1649,7 +1662,7 @@ impl<S: ConcurrentPageStore> ConcurrentDiskRTree<S> {
     pub fn checkpoint(&self) -> io::Result<()> {
         let w = self.writer_state()?;
         let _gate = w.op_gate.write();
-        let overlay: Vec<(u64, Arc<[u8]>)> = w
+        let overlay: Vec<(u64, Arc<PageBuf>)> = w
             .overlay
             .read()
             .iter()
@@ -1981,6 +1994,89 @@ mod tests {
         assert_eq!(io.reads, 0, "root miss must not charge the buffer");
         assert_eq!(io.peek_reads, 1, "peek is read once, then cached");
         assert_eq!(io.total(), 1, "the physical transfer is not dropped");
+    }
+
+    /// Asserts `NodeRef` borrows `frame` in place (on little-endian
+    /// targets) instead of decoding it.
+    fn assert_in_place(frame: &PageBuf, what: &str) {
+        let mut scratch = NodeSoA::new();
+        let node = NodeRef::of(frame, &mut scratch).unwrap();
+        assert!(!node.is_empty(), "{what}");
+        let range = frame.as_ptr_range();
+        let in_place = range.contains(&node.ptrs.as_ptr().cast())
+            && range.contains(&node.rects.arrays().0.as_ptr().cast());
+        assert_eq!(in_place, cfg!(target_endian = "little"), "{what}");
+        assert!(scratch.is_empty(), "{what} was decoded");
+    }
+
+    #[test]
+    fn v3_frames_are_served_in_place() {
+        // Every frame this pool hands out — the cached root peek, a miss,
+        // a hit, a bypass read past a fully pinned shard, a pinned page
+        // and a writer's overlay page — must let `NodeRef` borrow it, or
+        // the in-place traversal silently degrades to a per-access copy.
+        let tree = BulkLoader::hilbert(10).load(&sample_rects(600));
+        let disk =
+            ConcurrentDiskRTree::create(MemStore::new(), &tree, 2, LruPolicy::new()).unwrap();
+        assert_in_place(&disk.root_frame().unwrap().0, "root peek");
+        assert_in_place(&disk.fetch(PageId(2)).unwrap().0, "miss");
+        assert_in_place(&disk.fetch(PageId(2)).unwrap().0, "hit");
+        disk.pin_top_levels(1).unwrap();
+        assert_in_place(&disk.fetch(PageId(1)).unwrap().0, "pinned");
+        disk.pin_top_levels(2).unwrap_err(); // fills both frames
+        let (frame, missed) = disk.fetch(PageId(disk.meta.nodes)).unwrap();
+        assert!(missed);
+        assert_in_place(&frame, "bypass");
+
+        let writable = ConcurrentDiskRTree::create_writable(
+            crate::SharedMemStore::new(),
+            8,
+            3,
+            16,
+            LruPolicy::new(),
+            writer_wal(),
+        )
+        .unwrap();
+        for id in 0..40 {
+            writable.insert(&item_rect(id), id).unwrap();
+        }
+        let w = writable.writer.as_ref().unwrap();
+        let root = w.meta.lock().root;
+        assert_in_place(&writable.frame_w(w, root).unwrap(), "overlay");
+    }
+
+    #[test]
+    fn failed_store_reads_leave_nothing_resident() {
+        // Read 1 is the root peek; read 2, the root's charged fetch, fails.
+        // The next query must re-read the root, not hit a frameless entry.
+        let tree = BulkLoader::hilbert(10).load(&sample_rects(300));
+        let store = crate::FaultStore::new(MemStore::new(), rtree_wal::CrashSwitch::new());
+        let disk = ConcurrentDiskRTree::create(store.fail_read_at(2), &tree, 64, LruPolicy::new())
+            .unwrap();
+        let q = Rect::new(0.0, 0.0, 1.0, 1.0);
+        assert!(disk.query(&q).is_err());
+        assert_eq!(disk.query(&q).unwrap().len(), 300);
+    }
+
+    #[test]
+    fn invalid_inserts_are_refused_before_logging() {
+        let tree = ConcurrentDiskRTree::create_writable(
+            crate::SharedMemStore::new(),
+            8,
+            3,
+            16,
+            LruPolicy::new(),
+            writer_wal(),
+        )
+        .unwrap();
+        let nan = Rect {
+            lo: Point::new(0.1, f64::NAN),
+            hi: Point::new(0.2, 0.2),
+        };
+        let err = tree.insert(&nan, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(tree.live_items(), 0);
+        assert_eq!(tree.group_commit_stats().unwrap().committed_ops, 0);
     }
 
     #[test]

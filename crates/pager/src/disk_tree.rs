@@ -1,15 +1,15 @@
 //! Disk-backed R-tree execution.
 //!
-//! Query traversal decodes pages into [`NodeSoA`] (reusing one scratch node
-//! across the whole walk) and filters entries with the dispatched
-//! [`rtree_geom::RectSoA`] SIMD kernel — on v3 (SoA) pages the coordinate
-//! planes are copied contiguously with no per-entry gather. The original
+//! Query traversal views each page through [`NodeRef`] and filters entries
+//! with the dispatched [`rtree_geom::RectSlices`] SIMD kernel — on v3 (SoA)
+//! pages the kernel runs on the coordinate planes in the buffer frame
+//! itself, which was validated once when it was read in. The original
 //! entry-at-a-time path survives verbatim as [`DiskRTree::query_scalar`],
 //! the differential reference the `simd_traversal` bench and the
 //! `simd_vs_seed` suite compare against.
 
 use crate::page::PageLayout;
-use crate::{BufferManager, NodePage, NodeSoA, PageMeta, PageStore, PAGE_SIZE};
+use crate::{BufferManager, NodePage, NodeRef, NodeSoA, PageMeta, PageStore, PAGE_SIZE};
 use rtree_buffer::{PageId, ReplacementPolicy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{Neighbor, RTree};
@@ -62,8 +62,8 @@ impl<S: PageStore> DiskRTree<S> {
     /// Assembles a handle from an already-initialized manager and metadata
     /// (single construction point so trace state stays in one place).
     pub(crate) fn from_parts(mut mgr: BufferManager<S>, meta: PageMeta) -> Self {
-        // Checksums are verified once, when a page enters the pool; the
-        // traversal loops then use the trusted decode on resident frames.
+        // Pages are validated once, when their bytes enter a frame; the
+        // traversal loops then read resident frames in place.
         mgr.set_verify_reads(true);
         DiskRTree {
             mgr,
@@ -338,16 +338,17 @@ impl<S: PageStore> DiskRTree<S> {
         let mut results = Vec::new();
         let root = PageId(self.meta.root);
         let root_level = (self.meta.height - 1) as u16;
-        // One scratch node + match list reused across the whole walk:
-        // steady-state traversal does not allocate.
-        let mut node = NodeSoA::new();
+        // One scratch node (for pages that cannot be read in place) and
+        // match list reused across the whole walk: steady-state traversal
+        // does not allocate.
+        let mut scratch = NodeSoA::new();
         let mut matches: Vec<u32> = Vec::new();
 
         // Root handling mirrors the model: access it only if its MBR
-        // intersects the query. Decode it from a cheap peek first.
+        // intersects the query. Read it from a cheap peek first.
         self.mgr.tracer.level = root_level as i16;
-        node.decode_into_trusted(self.mgr.fetch_uncharged(root)?)?;
-        let Some(root_mbr) = node.rects.mbr() else {
+        let root_node = NodeRef::of(self.mgr.fetch_uncharged(root)?, &mut scratch)?;
+        let Some(root_mbr) = root_node.rects.mbr() else {
             return Ok(results);
         };
         if !root_mbr.intersects(query) {
@@ -359,7 +360,7 @@ impl<S: PageStore> DiskRTree<S> {
         let mut stack = vec![(root, root_level)];
         while let Some((pid, level)) = stack.pop() {
             self.mgr.tracer.level = level as i16;
-            node.decode_into_trusted(self.mgr.fetch(pid)?)?;
+            let node = NodeRef::of(self.mgr.fetch(pid)?, &mut scratch)?;
             debug_assert_eq!(node.level, level, "stack level mirrors the page");
             matches.clear();
             node.rects.intersecting(query, &mut matches);
@@ -492,7 +493,7 @@ pub(crate) fn knn_inner<S: PageStore>(
     if k == 0 || meta.items == 0 {
         return Ok(result);
     }
-    let mut node = NodeSoA::new();
+    let mut scratch = NodeSoA::new();
     let mut within: Vec<(u32, f64)> = Vec::new();
     let mut queue = BinaryHeap::new();
     // Max-heap of the k smallest *item* distances seen so far: once full,
@@ -522,7 +523,7 @@ pub(crate) fn knn_inner<S: PageStore>(
                     f64::INFINITY
                 };
                 mgr.tracer.level = level as i16;
-                node.decode_into_trusted(mgr.fetch(PageId(pid))?)?;
+                let node = NodeRef::of(mgr.fetch(PageId(pid))?, &mut scratch)?;
                 within.clear();
                 node.rects.min_dist2_within(p, bound, &mut within);
                 for &(i, d2) in &within {

@@ -27,6 +27,19 @@ const FREE_MAGIC: &[u8; 4] = b"FREE";
 /// page-in, free pages included), so the pointer sits past it.
 const FREE_NEXT_OFFSET: usize = 16;
 
+/// Refuses a rectangle no page may hold (non-finite or inverted) before an
+/// insert logs or touches anything: pages are validated as they are
+/// installed, so such an entry would fail half-way through the operation.
+pub(crate) fn check_insert(rect: &Rect) -> io::Result<()> {
+    if rect.is_valid() {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("cannot insert invalid rectangle {rect}"),
+    ))
+}
+
 pub(crate) fn mbr(entries: &[(Rect, u64)]) -> Rect {
     entries
         .iter()
@@ -188,7 +201,7 @@ impl<S: PageStore> DiskRTree<S> {
     /// end. Runs Guttman's ChooseLeaf / QuadraticSplit / AdjustTree over
     /// pages.
     pub fn insert(&mut self, rect: Rect, item: u64) -> io::Result<()> {
-        debug_assert!(rect.is_valid(), "inserting an invalid rectangle");
+        check_insert(&rect)?;
         self.in_span(|tree| tree.insert_inner(rect, item))
     }
 

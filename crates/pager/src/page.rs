@@ -48,10 +48,10 @@
 //! 2464    816   hi.y[0..102]
 //! 3280    816   ptr[0..102]
 //! ```
-//! The SoA body lets the [`rtree_geom::RectSoA`] intersection kernels run
-//! directly on the decoded coordinate arrays with no per-entry gather —
-//! see [`NodeSoA`]. At leaf level `ptr` is the item id; at internal levels
-//! it is the child *page* id.
+//! The SoA body lets the [`rtree_geom::RectSlices`] intersection kernels
+//! run directly on the coordinate planes inside a buffer frame, with no
+//! copy and no per-entry gather — see [`NodeRef`]. At leaf level `ptr` is
+//! the item id; at internal levels it is the child *page* id.
 //!
 //! *Packed body* (layout 2, format v4, internal pages of compressed trees):
 //! one full-precision *frame* rectangle — the page's own bounding rect —
@@ -81,10 +81,11 @@
 
 use crate::compress::{QRect, Quantizer};
 use rtree_geom::quant::{dequantize_into, quantum};
-use rtree_geom::{Point, Rect, RectSoA};
+use rtree_geom::{Point, Rect, RectSlices, RectSoA};
 use rtree_wal::crc32;
 use std::fmt;
 use std::io;
+use std::ops::{Deref, DerefMut};
 
 /// Page size in bytes (one R-tree node per page, as the paper assumes).
 pub const PAGE_SIZE: usize = 4096;
@@ -269,6 +270,76 @@ pub(crate) fn verify_checksum(buf: &[u8]) -> Result<(), PageError> {
 fn check_len(buf: &[u8]) -> Result<(), PageError> {
     if buf.len() != PAGE_SIZE {
         return Err(PageError::WrongLength { got: buf.len() });
+    }
+    Ok(())
+}
+
+/// One page frame: [`PAGE_SIZE`] bytes, 8-byte aligned by construction so
+/// a v3 page's coordinate and pointer planes can be read in place
+/// ([`NodeRef::of`]). Both buffer pools keep their frames as `PageBuf`s.
+#[repr(C, align(8))]
+pub(crate) struct PageBuf([u8; PAGE_SIZE]);
+
+impl PageBuf {
+    pub(crate) fn zeroed() -> Self {
+        PageBuf([0; PAGE_SIZE])
+    }
+}
+
+impl Deref for PageBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl DerefMut for PageBuf {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
+    }
+}
+
+/// The check every buffer frame passes once, when bytes are installed in
+/// it: the checksum, then — for a page carrying the node magic — what the
+/// node decoders validate: header, entry count, layout flag, and the body
+/// invariant (every live rectangle finite and `lo <= hi`; for Packed
+/// bodies a valid frame rectangle and `lo code <= hi code`). Pages without
+/// the node magic (the meta page, free-list pages) get the checksum only:
+/// their own decoders check the rest, and [`NodeRef::of`] rejects them by
+/// magic should a traversal ever reach one. Errors name the page.
+pub(crate) fn validate_install(id: u64, buf: &[u8]) -> io::Result<()> {
+    validate_page(buf)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("page {id}: {e}")))
+}
+
+fn validate_page(buf: &[u8]) -> Result<(), PageError> {
+    check_len(buf)?;
+    verify_checksum(buf)?;
+    if u16::from_le_bytes(buf[0..2].try_into().expect("2 bytes")) != NODE_MAGIC {
+        return Ok(());
+    }
+    let (_, count, layout) = check_node_header(buf, false)?;
+    // Byte offset of coordinate `k` (lo.x, lo.y, hi.x, hi.y) of entry `i`.
+    let (k_stride, i_stride) = match layout {
+        PageLayout::Packed => {
+            packed_frame(buf)?;
+            return check_packed_codes(buf, count);
+        }
+        PageLayout::Soa => (SOA_STRIDE, 8),
+        PageLayout::Aos => (8, ENTRY_SIZE),
+    };
+    let f = |k: usize, i: usize| {
+        let off = NODE_HEADER + k * k_stride + i * i_stride;
+        f64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
+    };
+    for i in 0..count {
+        let rect = Rect {
+            lo: Point::new(f(0, i), f(1, i)),
+            hi: Point::new(f(2, i), f(3, i)),
+        };
+        if !rect.is_valid() {
+            return Err(PageError::CorruptRect);
+        }
     }
     Ok(())
 }
@@ -732,6 +803,14 @@ impl NodeSoA {
         self.ptrs.is_empty()
     }
 
+    fn view(&self) -> NodeRef<'_> {
+        NodeRef {
+            level: self.level,
+            rects: self.rects.as_slices(),
+            ptrs: &self.ptrs,
+        }
+    }
+
     /// Decodes from a page buffer in either layout.
     pub fn decode(buf: &[u8]) -> Result<Self, PageError> {
         let mut node = NodeSoA::new();
@@ -746,13 +825,15 @@ impl NodeSoA {
         self.decode_into_impl(buf, true)
     }
 
-    /// [`NodeSoA::decode_into`] minus the checksum pass, for frames whose
-    /// checksum was already verified when they entered the buffer pool
-    /// (see [`crate::BufferManager::set_verify_reads`]). Verifying a 4 KiB
-    /// CRC per visited node costs more than the entire rectangle filter, so
-    /// the hot traversal loops must not re-pay it on every access to a
-    /// resident frame. Structural validation (magic, count, layout flag)
-    /// and the rectangle invariant still run unconditionally.
+    /// [`NodeSoA::decode_into`] minus the checksum pass, for bytes whose
+    /// checksum was already verified. Structural validation (magic, count,
+    /// layout flag) and the rectangle invariant still run.
+    ///
+    /// The traversal loops do not call this per access: buffer frames
+    /// are validated once, when their bytes are installed (see
+    /// [`crate::BufferManager::set_verify_reads`]), and [`NodeRef::of`]
+    /// reads v3 frames in place. [`NodeRef::of`] falls back to this decode
+    /// for v2 and v4 pages, and on big-endian targets.
     pub fn decode_into_trusted(&mut self, buf: &[u8]) -> Result<(), PageError> {
         self.decode_into_impl(buf, false)
     }
@@ -834,15 +915,109 @@ impl NodeSoA {
         // Decode-time invariant: every rectangle finite and non-inverted,
         // exactly as NodePage::decode enforces. The error path clears the
         // node so a half-decoded page can never be traversed.
-        for i in 0..count {
-            if !self.rects.get(i).is_valid() {
-                self.rects.clear();
-                self.ptrs.clear();
-                return Err(PageError::CorruptRect);
-            }
+        let rects = self.rects.as_slices();
+        if (0..count).any(|i| !rects.get(i).is_valid()) {
+            self.rects.clear();
+            self.ptrs.clear();
+            return Err(PageError::CorruptRect);
         }
         Ok(())
     }
+}
+
+/// A node page as the traversal loops read it: level, entry rectangles and
+/// pointers (item ids at leaves, child page ids above).
+///
+/// [`NodeRef::of`] borrows a v3 (SoA) page's four coordinate planes and its
+/// pointer plane straight from the frame, so a buffer hit costs an O(1)
+/// header check plus the kernel — no copy and no per-entry check. The
+/// bytes must have passed the install-time validation both buffer pools
+/// run (checksum, header, rectangle invariant; see
+/// [`crate::BufferManager::set_verify_reads`]). Unvalidated bytes are
+/// still safe to view — the kernels are defined for every `f64` — but
+/// their answers are not.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeRef<'a> {
+    /// Node level (0 = leaf).
+    pub level: u16,
+    /// Entry rectangles.
+    pub rects: RectSlices<'a>,
+    /// Entry pointers.
+    pub ptrs: &'a [u64],
+}
+
+impl<'a> NodeRef<'a> {
+    /// Views the node page in `frame`. Only the header (magic, entry
+    /// count, layout flag) is checked here. A v3 page in an 8-byte-aligned
+    /// frame on a little-endian target is borrowed in place; anything
+    /// else — v2 (AoS) and v4 (Packed) pages, a misaligned buffer, a
+    /// big-endian target — is decoded into `scratch`
+    /// ([`NodeSoA::decode_into_trusted`]) and viewed from there.
+    pub fn of(frame: &'a [u8], scratch: &'a mut NodeSoA) -> Result<Self, PageError> {
+        let (level, count, layout) = check_node_header(frame, false)?;
+        if layout == PageLayout::Soa {
+            if let Some(node) = soa_in_place(frame, level, count) {
+                return Ok(node);
+            }
+        }
+        scratch.decode_into_trusted(frame)?;
+        Ok(scratch.view())
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.ptrs.len()
+    }
+
+    /// True if the node has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.ptrs.is_empty()
+    }
+}
+
+/// The in-place view of a v3 page, or `None` when the planes cannot be
+/// borrowed (misaligned buffer).
+fn soa_in_place(frame: &[u8], level: u16, count: usize) -> Option<NodeRef<'_>> {
+    Some(NodeRef {
+        level,
+        rects: RectSlices::new(
+            words(soa_plane(frame, 0, count))?,
+            words(soa_plane(frame, 1, count))?,
+            words(soa_plane(frame, 2, count))?,
+            words(soa_plane(frame, 3, count))?,
+        ),
+        ptrs: words(soa_plane(frame, 4, count))?,
+    })
+}
+
+/// The 8-byte plain types a page plane is read as in place. Private, so
+/// `f64` and `u64` are its only implementors.
+trait Word: Copy {}
+impl Word for f64 {}
+impl Word for u64 {}
+
+/// Reads `bytes` (whole words: a page plane's live prefix) as a slice of
+/// little-endian 8-byte words without copying, or `None` when the bytes
+/// are not aligned for `T`.
+#[cfg(target_endian = "little")]
+fn words<T: Word>(bytes: &[u8]) -> Option<&[T]> {
+    debug_assert_eq!(bytes.len() % 8, 0, "planes hold whole words");
+    if bytes.as_ptr().align_offset(std::mem::align_of::<T>()) != 0 {
+        return None;
+    }
+    // SAFETY: `T` is `f64` or `u64` (the private `Word` trait has no other
+    // implementors): 8 bytes wide, valid for every bit pattern, and on
+    // this little-endian target laid out in memory exactly as the page
+    // stores it. The pointer was just checked to be aligned for `T`, and
+    // `bytes.len() / 8` words never reach past the borrowed bytes, so the
+    // slice stays in bounds and shares `bytes`' lifetime and immutability.
+    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / 8) })
+}
+
+/// Big-endian targets store words the other way round: always decode.
+#[cfg(not(target_endian = "little"))]
+fn words<T: Word>(_bytes: &[u8]) -> Option<&[T]> {
+    None
 }
 
 #[cfg(test)]
@@ -1269,6 +1444,210 @@ mod tests {
             PageMeta::decode(&buf),
             Err(PageError::InconsistentMeta(_))
         ));
+    }
+
+    /// Every node page of a small tree materialized as v2, v3 and v4, each
+    /// copied into an aligned frame.
+    fn image_frames() -> Vec<(&'static str, Vec<Box<PageBuf>>)> {
+        use crate::disk_tree::{materialize_packed, materialize_with};
+        use crate::{MemStore, PageStore};
+        use rtree_buffer::PageId;
+        let rects: Vec<Rect> = (0..300)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033) % 0.97;
+                let y = (i as f64 * 0.414_213) % 0.97;
+                Rect::new(x, y, x + 0.01, y + 0.02)
+            })
+            .collect();
+        let tree = rtree_index::BulkLoader::hilbert(12).load(&rects);
+        let mut images = Vec::new();
+        for (name, layout) in [
+            ("v2", Some(PageLayout::Aos)),
+            ("v3", Some(PageLayout::Soa)),
+            ("v4", None),
+        ] {
+            let mut store = MemStore::new();
+            let meta = match layout {
+                Some(layout) => materialize_with(&mut store, &tree, layout).unwrap(),
+                None => materialize_packed(&mut store, &tree, 40).unwrap(),
+            };
+            let frames = (1..=meta.nodes)
+                .map(|id| {
+                    let mut frame = Box::new(PageBuf::zeroed());
+                    store.read_page(PageId(id), &mut frame).unwrap();
+                    frame
+                })
+                .collect();
+            images.push((name, frames));
+        }
+        images
+    }
+
+    /// True if `inner` lies within `outer`'s bytes.
+    fn borrowed_from<T>(inner: &[T], outer: &[u8]) -> bool {
+        let outer = outer.as_ptr_range();
+        let inner = inner.as_ptr_range();
+        outer.start <= inner.start.cast() && inner.end.cast() <= outer.end
+    }
+
+    #[test]
+    fn node_ref_agrees_with_decode_on_every_page_of_every_format() {
+        let mut scratch = NodeSoA::new();
+        for (name, frames) in image_frames() {
+            assert!(frames.len() > 2, "{name}: internal and leaf pages");
+            for (i, frame) in frames.iter().enumerate() {
+                validate_page(frame).unwrap();
+                let want = NodeSoA::decode(frame).unwrap();
+                let node = NodeRef::of(frame, &mut scratch).unwrap();
+                assert_eq!(node.level, want.level, "{name} page {}", i + 1);
+                assert_eq!(node.len(), want.len(), "{name} page {}", i + 1);
+                assert_eq!(node.ptrs, &want.ptrs[..], "{name} page {}", i + 1);
+                for e in 0..want.len() {
+                    assert_eq!(
+                        node.rects.get(e),
+                        want.rects.get(e),
+                        "{name} page {} entry {e}",
+                        i + 1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn v3_frames_are_read_in_place_and_other_layouts_decode() {
+        for (name, frames) in image_frames() {
+            for frame in &frames {
+                let mut scratch = NodeSoA::new();
+                let node = NodeRef::of(frame, &mut scratch).unwrap();
+                let in_place =
+                    borrowed_from(node.ptrs, frame) && borrowed_from(node.rects.arrays().0, frame);
+                let soa = PageLayout::of(frame).unwrap() == PageLayout::Soa;
+                assert_eq!(in_place, soa && cfg!(target_endian = "little"), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn misaligned_bytes_fall_back_to_the_decode() {
+        let node = NodePage {
+            level: 0,
+            entries: (0..40u64)
+                .map(|i| (Rect::new(i as f64, 0.0, i as f64 + 0.5, 1.0), i * 3))
+                .collect(),
+        };
+        let mut frame = Box::new(PageBuf::zeroed());
+        node.encode(&mut frame);
+        // The same image one byte into a buffer: never 8-byte aligned.
+        let mut shifted = vec![0u8; PAGE_SIZE + 1];
+        let at = usize::from(shifted.as_ptr().align_offset(8) == 0);
+        shifted[at..at + PAGE_SIZE].copy_from_slice(&frame);
+        let shifted = &shifted[at..at + PAGE_SIZE];
+        assert!(words::<u64>(shifted).is_none());
+        let mut scratch = NodeSoA::new();
+        let view = NodeRef::of(shifted, &mut scratch).unwrap();
+        assert!(!borrowed_from(view.ptrs, shifted), "decoded into scratch");
+        assert_eq!(view.len(), 40);
+        for (i, (r, p)) in node.entries.iter().enumerate() {
+            assert_eq!(view.rects.get(i), *r);
+            assert_eq!(view.ptrs[i], *p);
+        }
+    }
+
+    #[test]
+    fn words_views_aligned_little_endian_words() {
+        let mut frame = Box::new(PageBuf::zeroed());
+        for (i, b) in frame.chunks_exact_mut(8).take(3).enumerate() {
+            b.copy_from_slice(&(0x0102_0304_0506_0700 + i as u64).to_le_bytes());
+        }
+        frame[24..32].copy_from_slice(&1.5f64.to_le_bytes());
+        let expect = cfg!(target_endian = "little");
+        assert_eq!(words::<u64>(&frame[..24]).is_some(), expect);
+        if let Some(w) = words::<u64>(&frame[..24]) {
+            assert_eq!(
+                w,
+                &[
+                    0x0102_0304_0506_0700,
+                    0x0102_0304_0506_0701,
+                    0x0102_0304_0506_0702
+                ]
+            );
+            assert_eq!(words::<f64>(&frame[24..32]).unwrap(), &[1.5]);
+            assert_eq!(words::<u64>(&frame[..0]).unwrap(), &[] as &[u64]);
+        }
+        // Misaligned starts are refused, never cast.
+        assert!(words::<u64>(&frame[1..9]).is_none());
+        assert!(words::<f64>(&frame[4..12]).is_none());
+    }
+
+    #[test]
+    fn node_ref_checks_the_header_on_every_access() {
+        let node = NodePage {
+            level: 0,
+            entries: vec![(Rect::new(0.1, 0.1, 0.2, 0.2), 1)],
+        };
+        let mut frame = Box::new(PageBuf::zeroed());
+        node.encode(&mut frame);
+        let mut scratch = NodeSoA::new();
+        let mut bad = Box::new(PageBuf::zeroed());
+        bad.copy_from_slice(&frame);
+        bad[0] ^= 0xFF;
+        assert_eq!(
+            NodeRef::of(&bad, &mut scratch).unwrap_err(),
+            PageError::BadMagic
+        );
+        bad.copy_from_slice(&frame);
+        bad[4..6].copy_from_slice(&(MAX_ENTRIES_PER_PAGE as u16 + 1).to_le_bytes());
+        assert!(matches!(
+            NodeRef::of(&bad, &mut scratch),
+            Err(PageError::EntryOverflow(_))
+        ));
+        bad.copy_from_slice(&frame);
+        bad[LAYOUT_OFFSET..LAYOUT_OFFSET + 2].copy_from_slice(&9u16.to_le_bytes());
+        assert_eq!(
+            NodeRef::of(&bad, &mut scratch).unwrap_err(),
+            PageError::UnsupportedLayout(9)
+        );
+        assert_eq!(
+            NodeRef::of(&frame[..100], &mut scratch).unwrap_err(),
+            PageError::WrongLength { got: 100 }
+        );
+    }
+
+    #[test]
+    fn install_validation_rejects_what_the_decoders_reject() {
+        let node = NodePage {
+            level: 0,
+            entries: vec![(Rect::new(0.0, 0.0, 1.0, 1.0), 9)],
+        };
+        for layout in [PageLayout::Aos, PageLayout::Soa, PageLayout::Packed] {
+            let mut buf = vec![0u8; PAGE_SIZE];
+            node.encode_with(&mut buf, layout);
+            assert_eq!(validate_page(&buf), Ok(()), "{layout:?}");
+            let mut flipped = buf.clone();
+            flipped[PAGE_SIZE - 1] ^= 1;
+            assert!(matches!(
+                validate_page(&flipped),
+                Err(PageError::ChecksumMismatch { .. })
+            ));
+            // A NaN coordinate (in the Packed frame rect, for Packed),
+            // re-sealed so only the body check can catch it.
+            let mut nan = buf.clone();
+            nan[NODE_HEADER..NODE_HEADER + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+            seal(&mut nan);
+            assert_eq!(
+                validate_page(&nan),
+                Err(PageError::CorruptRect),
+                "{layout:?}"
+            );
+            assert!(NodeSoA::decode(&nan).is_err());
+        }
+        // Pages without the node magic get the checksum only.
+        let mut meta = vec![0u8; PAGE_SIZE];
+        sample_meta().encode(&mut meta);
+        assert_eq!(validate_page(&meta), Ok(()));
+        meta[20] ^= 1;
+        assert!(validate_page(&meta).is_err());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! for `fuzz/fuzz_targets/page_decode.rs` that runs in plain `cargo test`.
 //!
 //! Two generators feed `PageMeta::decode` / `NodePage::decode` / the SoA
-//! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`):
+//! decoders (`NodeSoA::decode`, `NodeSoA::decode_into_trusted`) and the
+//! traversal view (`NodeRef::of`):
 //! pure random bytes (cheap, shallow — mostly dies at the magic check) and
 //! *mutated valid pages* (encode a real page, flip a few seeded bytes —
 //! reaches past the checksum only when the flips land in it, past the
@@ -11,7 +12,8 @@
 //! cross-decoder properties ride along: when the AoS and SoA decoders both
 //! accept a frame they carry identical content, and the trusted
 //! (checksum-skipping) decode accepts at least whatever the full decode
-//! accepts.
+//! accepts, and on what the full decode accepts the view shows the same
+//! node.
 //!
 //! Hand-minimized regression inputs live at the bottom as separate tests.
 
@@ -19,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rtree_geom::Rect;
 use rtree_pager::{
-    NodePage, NodeSoA, PageError, PageLayout, PageMeta, MAX_ENTRIES_PACKED, MAX_ENTRIES_PER_PAGE,
-    PAGE_SIZE,
+    NodePage, NodeRef, NodeSoA, PageError, PageLayout, PageMeta, MAX_ENTRIES_PACKED,
+    MAX_ENTRIES_PER_PAGE, PAGE_SIZE,
 };
 
 fn decode_both(bytes: &[u8]) {
@@ -39,6 +41,18 @@ fn decode_both(bytes: &[u8]) {
     }
     if soa.is_ok() {
         assert!(trusted.is_ok(), "trusted decode is weaker than full decode");
+    }
+    let mut view_scratch = NodeSoA::new();
+    let view = NodeRef::of(bytes, &mut view_scratch);
+    if let (Ok(s), Ok(v)) = (&soa, &view) {
+        assert_eq!(s.level, v.level);
+        assert_eq!(&s.ptrs[..], v.ptrs);
+        for i in 0..s.len() {
+            assert_eq!(s.rects.get(i), v.rects.get(i));
+        }
+    }
+    if soa.is_ok() {
+        assert!(view.is_ok(), "the view rejected a page the decode accepts");
     }
 }
 
